@@ -19,8 +19,8 @@
 
 use pao_bench::experiments::{run_expt1, run_expt2};
 use pao_bench::report::{print_table, Table};
-use pao_core::oracle::count_failed_pins_with;
-use pao_core::{CoordType, PaoConfig, PinAccessOracle};
+use pao_core::oracle::count_failed_pins;
+use pao_core::{CancelToken, CoordType, PaoConfig, PhaseBudget, PinAccessOracle};
 use pao_router::route::{RouteConfig, Router};
 use pao_router::score;
 use pao_testgen::{aes14_case, generate, ispd18s_suite, SuiteCase, TechFlavor};
@@ -410,8 +410,14 @@ fn ablations(fast: bool) {
     // Sanity: baseline comparison on the same case via the generic counter.
     let base =
         pao_router::baseline_pin_access(&tech, &design, &pao_router::BaselineConfig::default());
-    let (_, failed) =
-        count_failed_pins_with(&tech, &design, |c, p| base.access_point(&design, c, p));
+    let never = CancelToken::never();
+    let ((_, failed), ..) = count_failed_pins(
+        &tech,
+        &design,
+        |c, p| base.access_point(&design, c, p),
+        1,
+        PhaseBudget::new(&never, None),
+    );
     println!("(reference: baseline fails {failed} pins on this case)");
 }
 

@@ -1,8 +1,8 @@
 //! The paper's three experiments, runnable per testcase.
 
-use pao_core::oracle::count_failed_pins_with;
+use pao_core::oracle::count_failed_pins;
 use pao_core::unique::{build_instance_context, local_pin_owner};
-use pao_core::{PaoConfig, PinAccessOracle};
+use pao_core::{CancelToken, PaoConfig, PhaseBudget, PinAccessOracle};
 use pao_design::Design;
 use pao_drc::DrcEngine;
 use pao_router::baseline::{baseline_pin_access, BaselineConfig, BaselineResult};
@@ -108,8 +108,14 @@ pub fn run_expt2(case: &SuiteCase) -> Expt2Row {
 
     let t0 = Instant::now();
     let base = baseline_pin_access(&tech, &design, &BaselineConfig::default());
-    let (total_pins, trrte_failed) =
-        count_failed_pins_with(&tech, &design, |c, p| base.access_point(&design, c, p));
+    let never = CancelToken::never();
+    let ((total_pins, trrte_failed), ..) = count_failed_pins(
+        &tech,
+        &design,
+        |c, p| base.access_point(&design, c, p),
+        1,
+        PhaseBudget::new(&never, None),
+    );
     let trrte_time = t0.elapsed();
 
     // The w/o-BCA arm isolates the selection stage (no per-pin repair),

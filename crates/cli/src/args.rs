@@ -9,8 +9,7 @@ pub struct Args {
     values: Vec<(String, String)>,
 }
 
-/// Options that take a value (everything else starting with `--` is a
-/// boolean flag).
+/// Options that take a value.
 const VALUE_OPTS: [&str; 37] = [
     "--threads",
     "--k",
@@ -51,15 +50,35 @@ const VALUE_OPTS: [&str; 37] = [
     "--mode",
 ];
 
+/// Boolean flags. Any `--option` in neither table is a usage error, so a
+/// misspelled or retired flag never silently does nothing.
+const FLAG_OPTS: [&str; 8] = [
+    "--deadline-ok",
+    "--degraded-ok",
+    "--ledger",
+    "--metrics",
+    "--naive",
+    "--no-bca",
+    "--no-ledger",
+    "--resume",
+];
+
 impl Args {
     /// Parses a raw argument vector.
-    #[must_use]
-    pub fn parse(raw: Vec<String>) -> Args {
+    ///
+    /// # Errors
+    ///
+    /// Returns a usage message naming the first option that is in
+    /// neither the value-option nor the boolean-flag table.
+    pub fn parse(raw: Vec<String>) -> Result<Args, String> {
         let mut out = Args::default();
         let mut it = raw.into_iter();
         while let Some(a) = it.next() {
             if let Some((k, v)) = a.split_once('=') {
                 if k.starts_with("--") {
+                    if !VALUE_OPTS.contains(&k) {
+                        return Err(format!("unknown option `{k}`"));
+                    }
                     out.values.push((k.to_owned(), v.to_owned()));
                     continue;
                 }
@@ -73,12 +92,15 @@ impl Args {
                     None => out.flags.push(a),
                 }
             } else if a.starts_with("--") {
+                if !FLAG_OPTS.contains(&a.as_str()) {
+                    return Err(format!("unknown option `{a}`"));
+                }
                 out.flags.push(a);
             } else {
                 out.positionals.push(a);
             }
         }
-        out
+        Ok(out)
     }
 
     /// `true` when value option `--name` appeared *without* its value —
@@ -121,7 +143,7 @@ mod tests {
     use super::*;
 
     fn parse(s: &str) -> Args {
-        Args::parse(s.split_whitespace().map(str::to_owned).collect())
+        Args::parse(s.split_whitespace().map(str::to_owned).collect()).unwrap()
     }
 
     #[test]
@@ -133,6 +155,15 @@ mod tests {
         assert!(a.flag("--no-bca"));
         assert!(!a.flag("--naive"));
         assert!(a.positional(3).is_err());
+    }
+
+    #[test]
+    fn unknown_options_are_rejected() {
+        let raw = |s: &str| s.split_whitespace().map(str::to_owned).collect();
+        let e = Args::parse(raw("analyze x y --select-memo")).unwrap_err();
+        assert!(e.contains("--select-memo"), "{e}");
+        assert!(Args::parse(raw("analyze x y --bogus=1")).is_err());
+        assert!(Args::parse(raw("analyze x y --threads=2 --no-bca")).is_ok());
     }
 
     #[test]

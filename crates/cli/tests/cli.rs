@@ -215,6 +215,22 @@ fn exit_codes_distinguish_usage_input_and_degraded() {
 }
 
 #[test]
+fn unknown_flag_is_a_usage_error() {
+    // A retired flag must fail loudly instead of silently doing nothing.
+    let bench = concat!(env!("CARGO_MANIFEST_DIR"), "/../../benchmarks");
+    let out = pao()
+        .arg("analyze")
+        .arg(format!("{bench}/smoke.lef"))
+        .arg(format!("{bench}/smoke.def"))
+        .arg("--select-memo")
+        .output()
+        .expect("spawn");
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown option `--select-memo`"), "{err}");
+}
+
+#[test]
 fn injected_fault_degrades_and_exit_codes_honor_degraded_ok() {
     let lef = tmp("f.lef");
     let def = tmp("f.def");

@@ -5,9 +5,7 @@ use crate::budget::CancelToken;
 use crate::cost::DRC_COST;
 use crate::error::{FaultRecord, Phase};
 use crate::oracle::UniqueInstanceAccess;
-use crate::parallel::{
-    parallel_map_budget, parallel_map_scratch, ExecReport, ItemFault, PhaseBudget,
-};
+use crate::parallel::{parallel_map_budget, ExecReport, ItemFault, PhaseBudget};
 use crate::pattern::vias_compatible;
 use crate::unique::UniqueInstanceId;
 use pao_design::{CompId, Design};
@@ -186,23 +184,10 @@ fn near_boundary_vias_into(
     );
 }
 
-/// Tuning knobs for the cluster-selection fast path. Every combination
-/// produces bit-identical selections; the knobs only trade DRC probes
-/// for cache lookups and wall-clock for parallelism.
+/// Tuning of the cluster-selection fast path. Every setting produces
+/// bit-identical selections; it only trades wall-clock for parallelism.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SelectTuning {
-    /// Memoize boundary-edge verdicts (cache keyed on the pair of unique
-    /// instances, their patterns and the boundary-relative offset delta;
-    /// cleared per cluster so hit/miss counts are deterministic at every
-    /// thread count and split mode).
-    ///
-    /// **Off by default**: benchmarking on ispd18s_test2 measured a 0.42%
-    /// hit rate (19 hits / 4467 misses) — the cost-bound prune and the
-    /// near-boundary filters already deduplicate almost every repeat edge,
-    /// so the per-edge hash of the six-field key is pure overhead. Opt
-    /// back in with `--select-memo` on designs with heavy cell repetition
-    /// inside single clusters.
-    pub memo: bool,
     /// Minimum clusters in a selection group before its DP fans out over
     /// comp-disjoint wavefront levels (`0` disables the split).
     pub split_min_clusters: usize,
@@ -211,7 +196,6 @@ pub struct SelectTuning {
 impl Default for SelectTuning {
     fn default() -> SelectTuning {
         SelectTuning {
-            memo: false,
             split_min_clusters: 16,
         }
     }
@@ -222,15 +206,10 @@ impl Default for SelectTuning {
 /// counters when metrics are on).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SelectTelemetry {
-    /// Non-trivial DP edges whose verdict was requested (memo hits and
-    /// misses alike; identical with memoization on or off).
+    /// Non-trivial DP edges whose verdict was probed.
     pub edges: u64,
     /// Pairwise via DRC probes actually executed.
     pub probes: u64,
-    /// Edge verdicts answered from the memo.
-    pub cache_hits: u64,
-    /// Edge verdicts computed and inserted into the memo.
-    pub cache_misses: u64,
     /// DP transitions skipped by the running-best bound (`pcost + qcost
     /// >= best` with edge cost >= 0 means no later candidate can win).
     pub edges_pruned: u64,
@@ -246,8 +225,6 @@ impl SelectTelemetry {
     pub fn absorb(&mut self, o: &SelectTelemetry) {
         self.edges += o.edges;
         self.probes += o.probes;
-        self.cache_hits += o.cache_hits;
-        self.cache_misses += o.cache_misses;
         self.edges_pruned += o.edges_pruned;
         self.pairs_far += o.pairs_far;
         self.subranges += o.subranges;
@@ -269,21 +246,12 @@ pub struct SelectOutput {
     pub telemetry: SelectTelemetry,
 }
 
-/// Memo key of one boundary edge: both unique instances, both patterns,
-/// and the boundary-relative placement delta `roff - loff`. The left
-/// boundary filter bound (`boundary - loff.x`) equals `rep.x + width`
-/// (a constant per left instance) and the right bound equals that minus
-/// `delta.x`, so every geometric input of the edge verdict is a function
-/// of exactly this tuple — see DESIGN.md §14.
-type EdgeKey = (u32, u32, u32, u32, Dbu, Dbu);
-
 /// Per-worker reusable state for the selection DP. Every buffer is
 /// grow-only and cleared (capacity-retaining) per cluster or group, so
 /// steady-state selection performs no allocations.
 #[doc(hidden)]
 pub struct SelectScratch {
     ctx: ShapeSet,
-    memo: HashMap<EdgeKey, bool>,
     members: Vec<(CompId, u32)>,
     laps_by_p: Vec<Vec<(ViaId, Point)>>,
     raps: Vec<(ViaId, Point)>,
@@ -298,7 +266,6 @@ impl SelectScratch {
     pub fn new(num_layers: usize) -> SelectScratch {
         SelectScratch {
             ctx: ShapeSet::new(num_layers),
-            memo: HashMap::new(),
             members: Vec::new(),
             laps_by_p: Vec::new(),
             raps: Vec::new(),
@@ -315,63 +282,29 @@ impl SelectScratch {
 /// For each cluster, selects one pattern per member so that the access
 /// points near each shared cell boundary are mutually DRC-clean. Members
 /// already assigned by an earlier cluster (multi-height cells seen in a
-/// lower row) are constrained to their assigned pattern. Returns, per
-/// component, the chosen pattern index (`None` for components without
+/// lower row) are constrained to their assigned pattern. The output holds,
+/// per component, the chosen pattern index (`None` for components without
 /// patterns).
-#[must_use]
-pub fn select_patterns(
-    tech: &Tech,
-    engine: &DrcEngine<'_>,
-    design: &Design,
-    comp_uniq: &[Option<UniqueInstanceId>],
-    uniq: &[UniqueInstanceAccess],
-) -> Vec<Option<usize>> {
-    select_patterns_threaded(tech, engine, design, comp_uniq, uniq, 1).selection
-}
-
-/// [`select_patterns`] with a self-scheduling worker pool.
 ///
 /// Clusters only interact through shared components (a multi-height cell
 /// appears in one cluster per covered row, and the later cluster must
 /// honor the earlier cluster's assignment). Clusters are therefore grouped
 /// into connected components over shared members; groups are mutually
-/// independent and solved in parallel, while the clusters *within* a group
-/// run in wavefront order (see [`solve_group`]). Each group records its
-/// assignments in a local overlay merged afterwards, so the output is
-/// bit-identical to the sequential pass for every thread count.
+/// independent and solved on up to `threads` workers, while the clusters
+/// *within* a group run in wavefront order (see [`solve_group`]). Each
+/// group records its assignments in a local overlay merged afterwards, so
+/// the output is bit-identical to the sequential pass for every thread
+/// count.
 ///
 /// Groups run fault-isolated: a panic inside one group's DP quarantines
 /// that group (its members keep their default pattern) and is reported in
-/// the returned [`FaultRecord`]s; every other group selects normally.
-#[must_use]
-pub fn select_patterns_threaded(
-    tech: &Tech,
-    engine: &DrcEngine<'_>,
-    design: &Design,
-    comp_uniq: &[Option<UniqueInstanceId>],
-    uniq: &[UniqueInstanceAccess],
-    threads: usize,
-) -> SelectOutput {
-    let token = CancelToken::never();
-    select_patterns_budget(
-        tech,
-        engine,
-        design,
-        comp_uniq,
-        uniq,
-        threads,
-        &SelectTuning::default(),
-        PhaseBudget::new(&token, None),
-    )
-}
-
-/// Deadline-aware [`select_patterns_threaded`]: `budget` is polled between
-/// groups, and a group skipped by an expired budget simply keeps its
-/// members' default (best intra-cell) pattern — the same degraded-but-
-/// routable semantics as a quarantined group, minus the fault record.
+/// [`SelectOutput::faults`]; every other group selects normally. `budget`
+/// is polled between groups, and a group skipped by an expired budget
+/// likewise keeps its members' default (best intra-cell) pattern — the
+/// same degraded-but-routable semantics, minus the fault record.
 #[allow(clippy::too_many_arguments)]
 #[must_use]
-pub fn select_patterns_budget(
+pub fn select_patterns(
     tech: &Tech,
     engine: &DrcEngine<'_>,
     design: &Design,
@@ -448,8 +381,6 @@ pub fn select_patterns_budget(
     if pao_obs::metrics_enabled() {
         pao_obs::counter_add("select.compat_probes", telemetry.probes);
         pao_obs::counter_add("select.compat_edges", telemetry.edges);
-        pao_obs::counter_add("select.compat_cache.hits", telemetry.cache_hits);
-        pao_obs::counter_add("select.compat_cache.misses", telemetry.cache_misses);
         pao_obs::counter_add("select.edges_pruned", telemetry.edges_pruned);
         pao_obs::counter_add("select.pairs_far", telemetry.pairs_far);
         pao_obs::counter_add("select.subranges", telemetry.subranges);
@@ -466,7 +397,7 @@ pub fn select_patterns_budget(
 /// Partitions cluster indices into connected components over shared
 /// members (multi-height cells), preserving the original cluster order
 /// within every group. Exposed (hidden) for the allocation regression
-/// test and the criterion bench.
+/// test.
 #[doc(hidden)]
 pub fn group_clusters(clusters: &[Cluster], n_comps: usize) -> Vec<Vec<usize>> {
     let mut parent: Vec<usize> = (0..clusters.len()).collect();
@@ -504,9 +435,9 @@ pub fn group_clusters(clusters: &[Cluster], n_comps: usize) -> Vec<Vec<usize>> {
 /// DP reading earlier assignments from `local` and merging its results
 /// back. Large groups fan out over comp-disjoint wavefront levels (see
 /// [`solve_group_wavefront`]); the fan-out changes wall-clock only, never
-/// the assignments. Exposed (hidden) for the allocation regression test
-/// and the criterion bench: with a warm `local` and `scratch`, the
-/// sequential path performs zero allocations.
+/// the assignments. Exposed (hidden) for the allocation regression test:
+/// with a warm `local` and `scratch`, the sequential path performs zero
+/// allocations.
 #[doc(hidden)]
 #[allow(clippy::too_many_arguments)]
 pub fn solve_group(
@@ -528,8 +459,8 @@ pub fn solve_group(
     let mut tel = SelectTelemetry::default();
     if threads > 1 && tuning.split_min_clusters > 0 && group.len() >= tuning.split_min_clusters {
         solve_group_wavefront(
-            tech, engine, design, comp_uniq, uniq, reach, far, clusters, group, defaults, tuning,
-            threads, local, scratch, &mut tel,
+            tech, engine, design, comp_uniq, uniq, reach, far, clusters, group, defaults, threads,
+            local, scratch, &mut tel,
         );
     } else {
         for &cl in group {
@@ -543,7 +474,6 @@ pub fn solve_group(
                 far,
                 &clusters[cl],
                 defaults,
-                tuning.memo,
                 local,
                 scratch,
                 &mut tel,
@@ -576,7 +506,6 @@ fn solve_group_wavefront(
     clusters: &[Cluster],
     group: &[usize],
     defaults: &[Option<usize>],
-    tuning: &SelectTuning,
     threads: usize,
     local: &mut HashMap<usize, Option<usize>>,
     scratch: &mut SelectScratch,
@@ -611,7 +540,6 @@ fn solve_group_wavefront(
                 far,
                 &clusters[level[0]],
                 defaults,
-                tuning.memo,
                 local,
                 scratch,
                 tel,
@@ -622,9 +550,9 @@ fn solve_group_wavefront(
             continue;
         }
         tel.subranges += level.len() as u64;
-        let memo_on = tuning.memo;
         let pinned: &HashMap<usize, Option<usize>> = local;
-        let (results, _nested) = parallel_map_scratch(
+        let never = CancelToken::never();
+        let (results, _nested) = parallel_map_budget(
             threads.min(level.len()),
             "select.subrange",
             level,
@@ -641,15 +569,19 @@ fn solve_group_wavefront(
                     far,
                     &clusters[cl],
                     defaults,
-                    memo_on,
                     pinned,
                     s,
                     &mut t,
                 );
                 (s.emit.clone(), t)
             },
+            PhaseBudget::new(&never, None),
         );
-        for (emit, t) in results {
+        for result in results {
+            // A panicking subrange fails its whole group: re-raise it so
+            // the enclosing `select.group` item quarantines the group.
+            let (emit, t) = result
+                .unwrap_or_else(|fault| std::panic::resume_unwind(Box::new(fault.to_string())));
             tel.absorb(&t);
             for (ci, sel) in emit {
                 local.entry(ci).or_insert(sel);
@@ -675,14 +607,12 @@ fn solve_cluster(
     far: Dbu,
     cluster: &Cluster,
     defaults: &[Option<usize>],
-    memo_on: bool,
     pinned: &HashMap<usize, Option<usize>>,
     s: &mut SelectScratch,
     tel: &mut SelectTelemetry,
 ) {
     let SelectScratch {
         ctx,
-        memo,
         members,
         laps_by_p,
         raps,
@@ -691,12 +621,6 @@ fn solve_cluster(
         emit,
     } = s;
     emit.clear();
-    // The memo is scoped to one cluster: hit/miss/probe counts then
-    // depend only on the cluster's own edge sequence, making them
-    // identical at every thread count and split mode (a group-lifetime
-    // cache would hit more often in sequential mode than in the split's
-    // short-lived workers).
-    memo.clear();
     let offset_of = |comp: CompId, u: &UniqueInstanceAccess| -> Point {
         design.component(comp).location - design.component(u.info.rep).location
     };
@@ -748,10 +672,6 @@ fn solve_cluster(
         let (lu, ru) = (&uniq[lui as usize], &uniq[rui as usize]);
         let loff = offset_of(lcomp, lu);
         let roff = offset_of(rcomp, ru);
-        // The boundary-relative placement delta: together with the two
-        // unique instances and patterns it determines the entire edge
-        // geometry, so it completes the memo key (DESIGN.md §14).
-        let (dx, dy) = (roff.x - loff.x, roff.y - loff.y);
         // The shared boundary: left instance's right edge (members carry
         // analyzed data, so their master is known; 0-width fallback keeps
         // this panic-free regardless).
@@ -808,25 +728,7 @@ fn solve_cluster(
                     continue;
                 }
                 tel.edges += 1;
-                let clean = if memo_on {
-                    let key = (lui, p as u32, rui, q as u32, dx, dy);
-                    match memo.get(&key).copied() {
-                        Some(v) => {
-                            tel.cache_hits += 1;
-                            v
-                        }
-                        None => {
-                            tel.cache_misses += 1;
-                            let v = edge_clean(tech, engine, &laps_by_p[p], raps, far, ctx, tel);
-                            memo.insert(key, v);
-                            v
-                        }
-                    }
-                } else {
-                    edge_clean(tech, engine, &laps_by_p[p], raps, far, ctx, tel)
-                };
-                // Attribute the dirty verdict where it is *used*, so the
-                // record stream is identical with the memo on or off.
+                let clean = edge_clean(tech, engine, &laps_by_p[p], raps, far, ctx, tel);
                 if !clean && pao_obs::ledger_enabled() {
                     ledger::record(
                         LedgerRecord::new(

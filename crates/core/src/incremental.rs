@@ -12,10 +12,9 @@
 //! signature seen before and re-runs only the placement-dependent cluster
 //! selection and validation.
 
-use crate::budget::{BudgetAllocator, CancelReason, DeadlineReport, RunBudget, SkipRecord};
-use crate::error::Phase;
-use crate::oracle::{PaoResult, PinAccessOracle, UniqueInstanceAccess};
-use crate::parallel::PhaseBudget;
+use crate::budget::{BudgetAllocator, RunBudget};
+use crate::oracle::{ApTally, PaoResult, PinAccessOracle, RunLog, UniqueInstanceAccess};
+use crate::stats::PaoStats;
 use crate::unique::extract_unique_instances;
 use pao_design::Design;
 use pao_geom::{Dbu, Orient, Point};
@@ -31,7 +30,8 @@ struct CacheEntry {
     /// The representative's placement location when the entry was made
     /// (access point positions are stored in that frame).
     rep_location: Point,
-    /// Steps 1–2 output (pin APs, ordering, patterns) in the old frame.
+    /// Steps 1–2 output (pin APs, ordering, patterns, step-1 tallies) in
+    /// the old frame.
     data: UniqueInstanceAccess,
 }
 
@@ -82,7 +82,7 @@ impl AnalysisCache {
         (self.hits, self.misses)
     }
 
-    /// Serializes the cache to the line-oriented `PAO-CACHE v3` format
+    /// Serializes the cache to the line-oriented `PAO-CACHE v4` format
     /// (version + body checksum header), so short-lived tool invocations
     /// (a placement optimizer's inner loop) can reuse intra-cell analysis
     /// across process boundaries.
@@ -109,6 +109,12 @@ impl AnalysisCache {
                 },
             );
             let _ = writeln!(out, "REP {} {}", e.rep_location.x, e.rep_location.y);
+            let t = &e.data.tally;
+            let _ = writeln!(
+                out,
+                "TALLY {} {} {} {}",
+                t.total, t.dirty, t.without, t.off_track
+            );
             for (pi, aps) in e.data.pin_aps.iter().enumerate() {
                 let _ = writeln!(out, "PIN {} {}", pi, aps.len());
                 for ap in aps {
@@ -195,6 +201,7 @@ impl AnalysisCache {
             let mut pin_aps: Vec<Vec<crate::apgen::AccessPoint>> = Vec::new();
             let mut pin_order = Vec::new();
             let mut patterns = Vec::new();
+            let mut tally = None;
             loop {
                 let (bn, body) = lines.next().ok_or_else(|| err("unterminated ENTRY", n))?;
                 let body = body.trim();
@@ -226,12 +233,28 @@ impl AnalysisCache {
                             .collect::<Result<Vec<usize>, _>>()
                             .map_err(|_| err("bad ORDER", bn))?;
                     }
+                } else if let Some(rest) = body.strip_prefix("TALLY ") {
+                    let v = rest
+                        .split_whitespace()
+                        .map(str::parse)
+                        .collect::<Result<Vec<usize>, _>>()
+                        .map_err(|_| err("bad TALLY", bn))?;
+                    let &[total, dirty, without, off_track] = v.as_slice() else {
+                        return Err(err("TALLY expects four counts", bn));
+                    };
+                    tally = Some(ApTally {
+                        total,
+                        dirty,
+                        without,
+                        off_track,
+                    });
                 } else if body.starts_with("PATTERN") {
                     patterns.push(parse_pattern(body, bn + 2)?);
                 } else {
                     return Err(err("unexpected line in ENTRY", bn));
                 }
             }
+            let tally = tally.ok_or_else(|| err("ENTRY missing TALLY", n))?;
             let sig = (master, orient, phases.clone());
             let data = UniqueInstanceAccess {
                 info: crate::unique::UniqueInstance {
@@ -245,6 +268,7 @@ impl AnalysisCache {
                 pin_aps,
                 pin_order,
                 patterns,
+                tally,
             };
             cache.entries.insert(
                 sig,
@@ -293,10 +317,11 @@ impl PinAccessOracle {
     /// [`analyze_with_cache`](PinAccessOracle::analyze_with_cache) under a
     /// [`RunBudget`]. The full-analysis path (new signatures present)
     /// forwards the whole budget — per-phase allocation, watchdog and
-    /// checkpointing included. The cache fast path skips steps 1–2, so it
-    /// runs its select/repair/audit tail under the *overall* deadline
-    /// token instead of per-phase slices (there is no history for the
-    /// shrunken pipeline, and the tail is already the cheap part).
+    /// checkpointing included. The cache fast path skips steps 1–2 and
+    /// runs the oracle's shared select/repair/audit tail under the
+    /// *overall* deadline token instead of per-phase slices (there is no
+    /// history for the shrunken pipeline, and the tail is already the
+    /// cheap part).
     #[must_use]
     pub fn analyze_with_cache_budget(
         &self,
@@ -346,13 +371,8 @@ impl PinAccessOracle {
             watchdog,
             checkpoint: _,
         } = budget;
-        let alloc = BudgetAllocator::new(deadline, fractions);
-        let token = alloc.overall_token();
-        let mut skips: Vec<SkipRecord> = Vec::new();
-        let run_start = std::time::Instant::now();
-        let metrics_before = pao_obs::metrics_enabled().then(pao_obs::snapshot);
-        let fast_span = pao_obs::span("phase.cache_fast_path");
-        let t2 = std::time::Instant::now();
+        let token = BudgetAllocator::new(deadline, fractions).overall_token();
+        let log = RunLog::start(deadline);
         let mut comp_uniq = vec![None; design.components().len()];
         let mut unique = Vec::with_capacity(infos.len());
         for (info, entry) in infos.into_iter().zip(entries) {
@@ -371,112 +391,14 @@ impl PinAccessOracle {
             }
             unique.push(data);
         }
-        let engine = pao_drc::DrcEngine::new(tech);
-        let threads = self.config().threads;
-        let mut faults: Vec<crate::error::FaultRecord> = Vec::new();
-        let select_out = crate::cluster::select_patterns_budget(
-            tech,
-            &engine,
-            design,
-            &comp_uniq,
-            &unique,
-            threads,
-            &self.config().select,
-            PhaseBudget::new(&token, watchdog),
-        );
-        faults.extend(select_out.faults);
-        crate::oracle::push_skip(
-            &mut skips,
-            Phase::Select,
-            select_out.skipped,
-            token.reason().unwrap_or(CancelReason::Deadline),
-        );
-        let mut result = PaoResult {
-            stats: crate::stats::PaoStats {
-                unique_instances: unique.len(),
-                total_aps: unique
-                    .iter()
-                    .flat_map(|u| u.pin_aps.iter())
-                    .map(Vec::len)
-                    .sum(),
-                cluster_exec: select_out.exec,
-                select_telemetry: select_out.telemetry,
-                ..Default::default()
-            },
+        let result = PaoResult {
             unique,
             comp_uniq,
-            selection: select_out.selection,
+            selection: Vec::new(),
             overrides: HashMap::new(),
+            stats: PaoStats::default(),
         };
-        let gctx = crate::oracle::GlobalContext::build_threaded(tech, design, threads);
-        let mut repair_skipped = 0usize;
-        let mut scan_ok: Option<Vec<Option<bool>>> = None;
-        for round in 0..self.config().repair_rounds {
-            if token.is_cancelled() {
-                scan_ok = None;
-                break;
-            }
-            let (repaired, exec, repair_faults, round_skipped, ok_flags) =
-                crate::oracle::repair_failed_pins_budget(
-                    tech,
-                    design,
-                    &gctx,
-                    &mut result,
-                    threads,
-                    round,
-                    PhaseBudget::new(&token, watchdog),
-                );
-            result.stats.repair_exec.merge(&exec);
-            faults.extend(repair_faults);
-            repair_skipped += round_skipped;
-            scan_ok = (repaired == 0).then_some(ok_flags);
-            if repaired == 0 {
-                break;
-            }
-        }
-        crate::oracle::push_skip(
-            &mut skips,
-            Phase::Repair,
-            repair_skipped,
-            token.reason().unwrap_or(CancelReason::Deadline),
-        );
-        result.stats.repaired_pins = result.overrides.len();
-        let ((total_pins, failed_pins), audit_exec, audit_faults, audit_skipped) =
-            crate::oracle::audit_pins_budget(
-                tech,
-                design,
-                &gctx,
-                &|comp, pin_idx| result.access_point(design, comp, pin_idx),
-                scan_ok.as_deref(),
-                threads,
-                PhaseBudget::new(&token, watchdog),
-            );
-        faults.extend(audit_faults);
-        crate::oracle::push_skip(
-            &mut skips,
-            Phase::Audit,
-            audit_skipped,
-            token.reason().unwrap_or(CancelReason::Deadline),
-        );
-        result.stats.audit_exec = audit_exec;
-        result.stats.total_pins = total_pins;
-        result.stats.failed_pins = failed_pins;
-        for fault in &faults {
-            pao_obs::counter_add(fault.phase.quarantine_counter(), 1);
-        }
-        result.stats.quarantined = faults;
-        result.stats.deadline = DeadlineReport {
-            budget: deadline,
-            skipped: skips,
-            stalls: token.take_stalls(),
-        };
-        result.stats.cluster_time = t2.elapsed();
-        drop(fast_span);
-        result.stats.run_time = run_start.elapsed();
-        if let Some(before) = metrics_before {
-            result.stats.metrics = pao_obs::snapshot().delta_since(&before);
-        }
-        result
+        self.finish(tech, design, result, log, &|_| token.clone(), watchdog)
     }
 }
 
@@ -504,8 +426,12 @@ mod tests {
         let second = oracle.analyze_with_cache(&tech, &design, &mut cache);
         let (h1, _) = cache.stats();
         assert!(h1 > 0, "fast path must hit the cache");
-        assert_eq!(first.stats.total_aps, second.stats.total_aps);
-        assert_eq!(first.stats.failed_pins, second.stats.failed_pins);
+        assert!(
+            first.stats.counters_eq(&second.stats),
+            "fast path counters diverged:\n{}\nvs\n{}",
+            first.stats,
+            second.stats
+        );
         for ci in 0..design.components().len() {
             let comp = CompId(ci as u32);
             let a = first.access_point(&design, comp, 0).map(|a| a.pos);
@@ -554,7 +480,7 @@ mod persist_tests {
         let first = oracle.analyze_with_cache(&tech, &design, &mut cache);
 
         let text = cache.save_to_string();
-        assert!(text.starts_with("PAO-CACHE v3 fnv1a="));
+        assert!(text.starts_with("PAO-CACHE v4 fnv1a="));
         let mut loaded = AnalysisCache::load_from_string(&text).expect("loads");
         assert_eq!(loaded.len(), cache.len());
 

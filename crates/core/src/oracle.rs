@@ -3,9 +3,9 @@
 use crate::apgen::{generate_pin_access_points_scratch, AccessPoint, ApGenConfig, ApScratch};
 use crate::budget::{
     BudgetAllocator, CancelReason, CancelToken, DeadlineReport, PhaseFractions, RunBudget,
-    SkipRecord, StallRecord,
+    SkipRecord, StallRecord, Watchdog,
 };
-use crate::cluster::{select_patterns_budget, SelectTuning};
+use crate::cluster::{select_patterns, SelectTuning};
 use crate::error::{FaultRecord, PaoError, Phase};
 use crate::parallel::{parallel_map_budget, ExecReport, ItemFault, PhaseBudget};
 use crate::pattern::{generate_patterns_tagged, AccessPattern, PatternConfig};
@@ -19,7 +19,7 @@ use pao_design::{CompId, Design};
 use pao_drc::{DrcEngine, DrcScratch, Owner, ShapeSet};
 use pao_geom::Rect;
 use pao_tech::{LayerId, MacroClass, Tech};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Configuration of the whole three-step analysis.
 #[derive(Debug, Clone)]
@@ -39,8 +39,8 @@ pub struct PaoConfig {
     /// dirty access points, mirroring the router's per-pin freedom).
     /// 0 disables repair — use that to measure the selection stage alone.
     pub repair_rounds: usize,
-    /// Cluster-selection fast-path tuning (memoization, wavefront split).
-    /// Every setting produces bit-identical selections.
+    /// Cluster-selection fast-path tuning (wavefront split). Every
+    /// setting produces bit-identical selections.
     pub select: SelectTuning,
 }
 
@@ -77,6 +77,22 @@ pub struct UniqueInstanceAccess {
     pub pin_order: Vec<usize>,
     /// Generated access patterns over `pin_order`.
     pub patterns: Vec<AccessPattern>,
+    /// Step-1 tallies of this instance, summed into [`PaoStats`].
+    pub tally: ApTally,
+}
+
+/// Step-1 tallies of one unique instance (Table II columns before the
+/// sum over instances).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ApTally {
+    /// Access points generated over the instance's pins.
+    pub total: usize,
+    /// Access points whose primary via failed the intra-cell audit.
+    pub dirty: usize,
+    /// Pins with geometry but no valid access point.
+    pub without: usize,
+    /// Access points with at least one off-track coordinate.
+    pub off_track: usize,
 }
 
 /// The complete result of [`PinAccessOracle::analyze`].
@@ -220,11 +236,7 @@ impl PinAccessOracle {
         } = budget;
         let mut ckpt = checkpoint;
         let alloc = BudgetAllocator::new(deadline, fractions);
-        let mut skips: Vec<SkipRecord> = Vec::new();
-        let mut stalls: Vec<StallRecord> = Vec::new();
-        let engine = DrcEngine::new(tech);
-        let run_start = Instant::now();
-        let metrics_before = pao_obs::metrics_enabled().then(pao_obs::snapshot);
+        let mut log = RunLog::start(deadline);
 
         // ---- Step 1: unique instances + access point generation.
         let phase_span = pao_obs::span("phase.apgen");
@@ -238,7 +250,6 @@ impl PinAccessOracle {
         }
         let apcfg = &self.config.apgen;
         let apgen_token = alloc.phase_token(Phase::Apgen);
-        type ApgenItem = (UniqueInstanceAccess, usize, usize, usize, usize);
         let (analyzed, apgen_exec) = {
             let infos = &infos;
             let ck: Option<&CheckpointStore> = ckpt.as_deref();
@@ -247,7 +258,7 @@ impl PinAccessOracle {
                 "apgen.instance",
                 (0..infos.len()).collect::<Vec<_>>(),
                 || (),
-                move |(), idx| -> Result<ApgenItem, PaoError> {
+                move |(), idx| -> Result<UniqueInstanceAccess, PaoError> {
                     let info = &infos[idx];
                     // Checkpoint restore: reuse the persisted snapshot when
                     // its signature (master/orient/phases + representative
@@ -259,18 +270,13 @@ impl PinAccessOracle {
                             && snap.rep_location == design.component(info.rep).location
                         {
                             pao_obs::counter_add("checkpoint.restored.apgen", 1);
-                            return Ok((
-                                UniqueInstanceAccess {
-                                    info: info.clone(),
-                                    pin_aps: snap.pin_aps.clone(),
-                                    pin_order: Vec::new(),
-                                    patterns: Vec::new(),
-                                },
-                                snap.total,
-                                snap.dirty,
-                                snap.without,
-                                snap.off_track,
-                            ));
+                            return Ok(UniqueInstanceAccess {
+                                info: info.clone(),
+                                pin_aps: snap.pin_aps.clone(),
+                                pin_order: Vec::new(),
+                                patterns: Vec::new(),
+                                tally: snap.tally,
+                            });
                         }
                     }
                     let engine = DrcEngine::new(tech);
@@ -290,8 +296,7 @@ impl PinAccessOracle {
                         apcfg.require_via = false;
                     }
                     let mut pin_aps: Vec<Vec<AccessPoint>> = vec![Vec::new(); master.pins.len()];
-                    let (mut total, mut dirty, mut without, mut off_track) =
-                        (0usize, 0usize, 0usize, 0usize);
+                    let mut tally = ApTally::default();
                     // One scratch per instance context: the pins share coordinate
                     // buffers and memoized via probes (the audit below re-asks
                     // exactly the placements generation already checked).
@@ -319,10 +324,10 @@ impl PinAccessOracle {
                             &apcfg,
                             &mut scratch,
                         );
-                        total += aps.len();
-                        off_track += aps.iter().filter(|ap| ap.is_off_track()).count();
+                        tally.total += aps.len();
+                        tally.off_track += aps.iter().filter(|ap| ap.is_off_track()).count();
                         if aps.is_empty() {
-                            without += 1;
+                            tally.without += 1;
                         } else {
                             // Honest dirty-AP audit (0 by construction for PAAF) —
                             // a memo lookup per AP, not a fresh DRC probe.
@@ -336,7 +341,7 @@ impl PinAccessOracle {
                                         ap.pos,
                                         local_pin_owner(pin_idx),
                                     ) {
-                                        dirty += 1;
+                                        tally.dirty += 1;
                                     }
                                 }
                             }
@@ -344,28 +349,18 @@ impl PinAccessOracle {
                         pin_aps[pin_idx] = aps;
                     }
                     scratch.flush_obs();
-                    Ok((
-                        UniqueInstanceAccess {
-                            info: info.clone(),
-                            pin_aps,
-                            pin_order: Vec::new(),
-                            patterns: Vec::new(),
-                        },
-                        total,
-                        dirty,
-                        without,
-                        off_track,
-                    ))
+                    Ok(UniqueInstanceAccess {
+                        info: info.clone(),
+                        pin_aps,
+                        pin_order: Vec::new(),
+                        patterns: Vec::new(),
+                        tally,
+                    })
                 },
                 PhaseBudget::new(&apgen_token, watchdog),
             )
         };
         let mut unique: Vec<UniqueInstanceAccess> = Vec::with_capacity(analyzed.len());
-        let mut faults: Vec<FaultRecord> = Vec::new();
-        let mut total_aps = 0usize;
-        let mut dirty_aps = 0usize;
-        let mut pins_without_aps = 0usize;
-        let mut off_track_aps = 0usize;
         let mut apgen_skip_reasons: Vec<CancelReason> = Vec::new();
         for (idx, outcome) in analyzed.into_iter().enumerate() {
             // Flatten quarantined panics and typed errors into one degraded
@@ -382,11 +377,7 @@ impl PinAccessOracle {
                 }
             };
             match flat {
-                Ok((u, total, dirty, without, off_track)) => {
-                    total_aps += total;
-                    dirty_aps += dirty;
-                    pins_without_aps += without;
-                    off_track_aps += off_track;
+                Ok(u) => {
                     if ckpt.is_some() {
                         let snap = ApgenSnapshot {
                             master: u.info.master,
@@ -394,10 +385,7 @@ impl PinAccessOracle {
                             phases: u.info.phases.clone(),
                             rep_location: design.component(u.info.rep).location,
                             pin_aps: u.pin_aps.clone(),
-                            total,
-                            dirty,
-                            without,
-                            off_track,
+                            tally: u.tally,
                         };
                         if let Some(store) = ckpt.as_mut() {
                             store.put_apgen(idx, snap);
@@ -408,7 +396,7 @@ impl PinAccessOracle {
                 Err(reason) => {
                     let info = &infos[idx];
                     if let Some(reason) = reason {
-                        faults.push(FaultRecord {
+                        log.faults.push(FaultRecord {
                             phase: Phase::Apgen,
                             item: format!(
                                 "unique instance {} (`{}` of master `{}`)",
@@ -425,16 +413,17 @@ impl PinAccessOracle {
                         pin_aps: vec![Vec::new(); npins],
                         pin_order: Vec::new(),
                         patterns: Vec::new(),
+                        tally: ApTally::default(),
                     });
                 }
             }
         }
         drop(infos);
-        record_skips(&mut skips, Phase::Apgen, &apgen_skip_reasons);
-        stalls.extend(apgen_token.take_stalls());
+        record_skips(&mut log.skips, Phase::Apgen, &apgen_skip_reasons);
+        log.stalls.extend(apgen_token.take_stalls());
         if let Some(store) = ckpt.as_mut() {
             if let Err(e) = store.save_apgen() {
-                faults.push(FaultRecord {
+                log.faults.push(FaultRecord {
                     phase: Phase::Cache,
                     item: "apgen checkpoint".to_owned(),
                     reason: e.to_string(),
@@ -499,7 +488,7 @@ impl PinAccessOracle {
                     Err(ItemFault::Skipped(r)) => pattern_skip_reasons.push(r),
                     // Quarantined: the instance keeps empty order/patterns,
                     // so its members simply have no selected access.
-                    Err(ItemFault::Panic(reason)) => faults.push(FaultRecord {
+                    Err(ItemFault::Panic(reason)) => log.faults.push(FaultRecord {
                         phase: Phase::Pattern,
                         item: format!(
                             "unique instance {} (master `{}`)",
@@ -511,8 +500,8 @@ impl PinAccessOracle {
                 }
             }
         }
-        record_skips(&mut skips, Phase::Pattern, &pattern_skip_reasons);
-        stalls.extend(pattern_token.take_stalls());
+        record_skips(&mut log.skips, Phase::Pattern, &pattern_skip_reasons);
+        log.stalls.extend(pattern_token.take_stalls());
         if let Some(store) = ckpt.as_mut() {
             for &i in &pattern_completed {
                 let u = &unique[i];
@@ -529,7 +518,7 @@ impl PinAccessOracle {
                 );
             }
             if let Err(e) = store.save_pattern() {
-                faults.push(FaultRecord {
+                log.faults.push(FaultRecord {
                     phase: Phase::Cache,
                     item: "pattern checkpoint".to_owned(),
                     reason: e.to_string(),
@@ -539,16 +528,89 @@ impl PinAccessOracle {
         let pattern_time = t1.elapsed();
         drop(phase_span);
 
+        let result = PaoResult {
+            unique,
+            comp_uniq,
+            selection: Vec::new(),
+            overrides: std::collections::HashMap::new(),
+            stats: PaoStats {
+                apgen_time,
+                pattern_time,
+                apgen_exec,
+                pattern_exec,
+                ..PaoStats::default()
+            },
+        };
+        let mut result = self.finish(
+            tech,
+            design,
+            result,
+            log,
+            &|phase| alloc.phase_token(phase),
+            watchdog,
+        );
+        // Record this run's observed phase-time split so the next budgeted
+        // run over this checkpoint directory allocates from history instead
+        // of the built-in default. Partial runs are biased (cut phases look
+        // cheap), so only complete runs update the history.
+        if let Some(store) = ckpt.as_mut() {
+            if !result.stats.deadline.is_partial() {
+                if let Err(e) = store.save_fractions(PhaseFractions::from_stats(&result.stats)) {
+                    result.stats.quarantined.push(FaultRecord {
+                        phase: Phase::Cache,
+                        item: "phase-history checkpoint".to_owned(),
+                        reason: e.to_string(),
+                    });
+                }
+            }
+        }
+        result
+    }
+
+    /// Step 3 and everything after it — cluster selection, the repair
+    /// rounds and the failed-pin audit — then the run's closing
+    /// bookkeeping (step-1 tally sums, fault counters, deadline report,
+    /// wall times, metrics delta). `result` arrives with steps 1–2
+    /// filled in. Shared by the cold
+    /// [`analyze_with_budget`](Self::analyze_with_budget) run and the
+    /// [`AnalysisCache`](crate::incremental::AnalysisCache) fast path;
+    /// `token_for` mints each phase's cancel token as the phase starts.
+    pub(crate) fn finish(
+        &self,
+        tech: &Tech,
+        design: &Design,
+        mut result: PaoResult,
+        log: RunLog,
+        token_for: &dyn Fn(Phase) -> CancelToken,
+        watchdog: Option<Watchdog>,
+    ) -> PaoResult {
+        let RunLog {
+            mut faults,
+            mut skips,
+            mut stalls,
+            deadline,
+            start,
+            metrics_before,
+        } = log;
+        let stats = &mut result.stats;
+        stats.unique_instances = result.unique.len();
+        for u in &result.unique {
+            stats.total_aps += u.tally.total;
+            stats.dirty_aps += u.tally.dirty;
+            stats.pins_without_aps += u.tally.without;
+            stats.off_track_aps += u.tally.off_track;
+        }
+
         // ---- Step 3: cluster-based selection + final validation.
         let phase_span = pao_obs::span("phase.select");
         let t2 = Instant::now();
-        let select_token = alloc.phase_token(Phase::Select);
-        let select_out = select_patterns_budget(
+        let select_token = token_for(Phase::Select);
+        let select_out = select_patterns(
             tech,
-            &engine,
+            &DrcEngine::new(tech),
             design,
-            &comp_uniq,
-            &unique,
+            &result.comp_uniq,
+            &result.unique,
             self.config.threads,
             &self.config.select,
             PhaseBudget::new(&select_token, watchdog),
@@ -561,33 +623,16 @@ impl PinAccessOracle {
             select_token.reason().unwrap_or(CancelReason::Deadline),
         );
         stalls.extend(select_token.take_stalls());
-        let mut result = PaoResult {
-            unique,
-            comp_uniq,
-            selection: select_out.selection,
-            overrides: std::collections::HashMap::new(),
-            stats: PaoStats {
-                total_aps,
-                dirty_aps,
-                pins_without_aps,
-                off_track_aps,
-                apgen_time,
-                pattern_time,
-                apgen_exec,
-                pattern_exec,
-                cluster_exec: select_out.exec,
-                select_telemetry: select_out.telemetry,
-                ..PaoStats::default()
-            },
-        };
-        result.stats.unique_instances = result.unique.len();
+        result.selection = select_out.selection;
+        result.stats.cluster_exec = select_out.exec;
+        result.stats.select_telemetry = select_out.telemetry;
         drop(phase_span);
         // Repair pass: for residual conflicts the whole-pattern DP cannot
         // untangle (frustrated chains of tightly-abutting boundary pins),
         // deviate per pin to any alternate clean AP — the same freedom the
         // detailed router has when it consumes the access points.
         let phase_span = pao_obs::span("phase.repair");
-        let repair_token = alloc.phase_token(Phase::Repair);
+        let repair_token = token_for(Phase::Repair);
         // The whole-design base context and connected-pin list depend only
         // on the placement, so they are built once and shared by every
         // repair round and the final audit (each use completes a clone
@@ -634,7 +679,7 @@ impl PinAccessOracle {
         result.stats.repaired_pins = result.overrides.len();
         drop(phase_span);
         let phase_span = pao_obs::span("phase.audit");
-        let audit_token = alloc.phase_token(Phase::Audit);
+        let audit_token = token_for(Phase::Audit);
         let ((total_pins, failed_pins), audit_exec, audit_faults, audit_skipped) =
             audit_pins_budget(
                 tech,
@@ -667,26 +712,38 @@ impl PinAccessOracle {
             stalls,
         };
         result.stats.cluster_time = t2.elapsed();
-        result.stats.run_time = run_start.elapsed();
+        result.stats.run_time = start.elapsed();
         if let Some(before) = metrics_before {
             result.stats.metrics = pao_obs::snapshot().delta_since(&before);
         }
-        // Record this run's observed phase-time split so the next budgeted
-        // run over this checkpoint directory allocates from history instead
-        // of the built-in default. Partial runs are biased (cut phases look
-        // cheap), so only complete runs update the history.
-        if let Some(store) = ckpt.as_mut() {
-            if !result.stats.deadline.is_partial() {
-                if let Err(e) = store.save_fractions(PhaseFractions::from_stats(&result.stats)) {
-                    result.stats.quarantined.push(FaultRecord {
-                        phase: Phase::Cache,
-                        item: "phase-history checkpoint".to_owned(),
-                        reason: e.to_string(),
-                    });
-                }
-            }
-        }
         result
+    }
+}
+
+/// What a run records ahead of the shared select/repair/audit tail
+/// ([`PinAccessOracle::finish`]): degraded items so far, plus the clock
+/// and metrics anchors the tail closes out.
+pub(crate) struct RunLog {
+    faults: Vec<FaultRecord>,
+    skips: Vec<SkipRecord>,
+    stalls: Vec<StallRecord>,
+    /// The run's overall deadline, reported back in [`DeadlineReport`].
+    deadline: Option<Duration>,
+    start: Instant,
+    metrics_before: Option<pao_obs::MetricsSnapshot>,
+}
+
+impl RunLog {
+    /// Anchors a run starting now.
+    pub(crate) fn start(deadline: Option<Duration>) -> RunLog {
+        RunLog {
+            faults: Vec::new(),
+            skips: Vec::new(),
+            stalls: Vec::new(),
+            deadline,
+            start: Instant::now(),
+            metrics_before: pao_obs::metrics_enabled().then(pao_obs::snapshot),
+        }
     }
 }
 
@@ -705,12 +762,7 @@ fn record_skips(skips: &mut Vec<SkipRecord>, phase: Phase, reasons: &[CancelReas
 
 /// Appends one [`SkipRecord`] (and bumps the phase's skip counter) when
 /// `items > 0`; no-op otherwise.
-pub(crate) fn push_skip(
-    skips: &mut Vec<SkipRecord>,
-    phase: Phase,
-    items: usize,
-    reason: CancelReason,
-) {
+fn push_skip(skips: &mut Vec<SkipRecord>, phase: Phase, items: usize, reason: CancelReason) {
     if items > 0 {
         pao_obs::counter_add(phase.deadline_counter(), items as u64);
         skips.push(SkipRecord {
@@ -812,7 +864,7 @@ fn scan_ap(result: &PaoResult, design: &Design, comp: CompId, pin_idx: usize) ->
 }
 
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn repair_failed_pins_budget(
+fn repair_failed_pins_budget(
     tech: &Tech,
     design: &Design,
     gctx: &GlobalContext,
@@ -1308,7 +1360,7 @@ fn pin_label(tech: &Tech, design: &Design, comp: CompId, pin_idx: usize) -> Stri
 /// via shapes are layered on per use by [`GlobalContext::with_vias`],
 /// which is far cheaper than re-walking and re-transforming the whole
 /// placement for every repair round and the final audit.
-pub(crate) struct GlobalContext {
+struct GlobalContext {
     /// All placed pin and obstruction shapes, packed: the repair scan
     /// and its windowed greedy context query it directly (paired with
     /// the selected-vias index), and [`GlobalContext::with_vias`] feeds
@@ -1431,82 +1483,33 @@ impl GlobalContext {
 /// Counts Table III's `(total pins, failed pins)`: every component pin
 /// with a net attached must end with a DRC-clean access point, checked
 /// against the **whole-design** context (all pins, obstructions and every
-/// other selected via).
+/// other selected via). `accessor` supplies the selected access point per
+/// `(component, pin index)` in die coordinates, so PAAF and baseline pin
+/// access are scored with identical rules; the per-pin probes fan out
+/// over `threads` workers.
+///
+/// Returns `((total pins, failed pins), executor report, faults,
+/// skipped pins)`. A probe that panics quarantines its pin and a pin
+/// skipped by an expired `budget` lands in the skip tally; both count as
+/// failed, since neither was certified clean.
+///
+/// ```no_run
+/// # let (tech, design): (pao_tech::Tech, pao_design::Design) = unimplemented!();
+/// use pao_core::{oracle::count_failed_pins, CancelToken, PhaseBudget, PinAccessOracle};
+///
+/// let result = PinAccessOracle::new().analyze(&tech, &design);
+/// let never = CancelToken::never();
+/// let ((total, failed), ..) = count_failed_pins(
+///     &tech,
+///     &design,
+///     |comp, pin| result.access_point(&design, comp, pin),
+///     1,
+///     PhaseBudget::new(&never, None),
+/// );
+/// assert!(failed <= total);
+/// ```
 #[must_use]
-pub fn count_failed_pins(tech: &Tech, design: &Design, result: &PaoResult) -> (usize, usize) {
-    count_failed_pins_threaded(tech, design, result, 1).0
-}
-
-/// [`count_failed_pins`] with the per-pin DRC probes fanned out over
-/// `threads` workers.
-#[must_use]
-pub fn count_failed_pins_threaded(
-    tech: &Tech,
-    design: &Design,
-    result: &PaoResult,
-    threads: usize,
-) -> ((usize, usize), ExecReport) {
-    count_failed_pins_with_threaded(
-        tech,
-        design,
-        |comp, pin_idx| result.access_point(design, comp, pin_idx),
-        threads,
-    )
-}
-
-/// Generic form of [`count_failed_pins`]: `accessor` supplies the selected
-/// access point per `(component, pin index)` in die coordinates. Used to
-/// score both PAAF and baseline pin access with identical rules.
-#[must_use]
-pub fn count_failed_pins_with(
-    tech: &Tech,
-    design: &Design,
-    accessor: impl Fn(CompId, usize) -> Option<AccessPoint> + Sync,
-) -> (usize, usize) {
-    count_failed_pins_with_threaded(tech, design, accessor, 1).0
-}
-
-/// [`count_failed_pins_with`] with the per-pin DRC probes fanned out over
-/// `threads` workers. The audit context is immutable once built, so every
-/// connected pin checks independently.
-#[must_use]
-pub fn count_failed_pins_with_threaded(
-    tech: &Tech,
-    design: &Design,
-    accessor: impl Fn(CompId, usize) -> Option<AccessPoint> + Sync,
-    threads: usize,
-) -> ((usize, usize), ExecReport) {
-    let (counts, exec, _faults) = count_failed_pins_with_faults(tech, design, accessor, threads);
-    (counts, exec)
-}
-
-/// Fault-isolated form of [`count_failed_pins_with_threaded`]: an audit
-/// probe that panics quarantines its pin (counted failed — the audit could
-/// not certify it) and the fault is returned instead of aborting.
-#[must_use]
-pub fn count_failed_pins_with_faults(
-    tech: &Tech,
-    design: &Design,
-    accessor: impl Fn(CompId, usize) -> Option<AccessPoint> + Sync,
-    threads: usize,
-) -> ((usize, usize), ExecReport, Vec<FaultRecord>) {
-    let token = CancelToken::never();
-    let (counts, exec, faults, _skipped) = count_failed_pins_with_budget(
-        tech,
-        design,
-        accessor,
-        threads,
-        PhaseBudget::new(&token, None),
-    );
-    (counts, exec, faults)
-}
-
-/// [`count_failed_pins_with_faults`] under a phase budget: a pin skipped
-/// by an expired [`CancelToken`] conservatively counts as failed (it was
-/// never certified clean) and lands in the returned skip tally rather
-/// than the fault list.
-#[must_use]
-pub fn count_failed_pins_with_budget(
+pub fn count_failed_pins(
     tech: &Tech,
     design: &Design,
     accessor: impl Fn(CompId, usize) -> Option<AccessPoint> + Sync,
@@ -1524,7 +1527,7 @@ pub fn count_failed_pins_with_budget(
 /// already probed the identical context. Hinted pins still flow through
 /// the `audit.pin` executor, so fault isolation, budgeting and the
 /// thread-count identity contract are unchanged.
-pub(crate) fn audit_pins_budget(
+fn audit_pins_budget(
     tech: &Tech,
     design: &Design,
     gctx: &GlobalContext,

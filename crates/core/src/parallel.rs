@@ -17,19 +17,18 @@
 
 //! **Fault isolation.** Every work item runs under
 //! [`std::panic::catch_unwind`], so one panicking item cannot take down
-//! the phase: the quarantine-mode entry point
-//! ([`parallel_map_quarantine`]) yields the panic as a per-item `Err`
-//! while every other item completes, and the strict entry points
-//! re-raise the first payload only after the full phase has drained.
-//! Slot mutexes recover from poisoning (`PoisonError::into_inner`) so a
-//! fault in one item can never cascade into an unrelated "done slot"
-//! panic on another thread.
+//! the phase: the budgeted engine ([`parallel_map_budget`]) yields the
+//! panic as a per-item `Err` while every other item completes, and the
+//! strict [`parallel_map`] re-raises the first panic only after the full
+//! phase has drained. Slot mutexes recover from poisoning
+//! (`PoisonError::into_inner`) so a fault in one item can never cascade
+//! into an unrelated "done slot" panic on another thread.
 
-//! **Deadlines and the watchdog.** The budget-mode entry point
-//! ([`parallel_map_budget`]) threads a [`CancelToken`] through the claim
-//! loop: every worker polls it *before* claiming the next index, so an
-//! expired budget (or an explicit cancellation) finishes in-flight items
-//! and yields the unstarted ones as `Err(ItemFault::Skipped)`. Because
+//! **Deadlines and the watchdog.** [`parallel_map_budget`] threads a
+//! [`CancelToken`] through the claim loop: every worker polls it
+//! *before* claiming the next index, so an expired budget (or an
+//! explicit cancellation) finishes in-flight items and yields the
+//! unstarted ones as `Err(ItemFault::Skipped)`. Because
 //! indices are handed out strictly in order and claimed items always
 //! finish, the completed results always form a prefix of the input. A
 //! deterministic cancellation via [`CancelToken::cancel_at`]
@@ -49,12 +48,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-/// A caught worker-panic payload (kept intact so strict callers can
-/// re-raise it with the original assertion message).
-type Payload = Box<dyn Any + Send + 'static>;
-
 /// Renders a caught panic payload as the quarantine reason string.
-fn payload_reason(payload: &Payload) -> String {
+fn payload_reason(payload: &(dyn Any + Send)) -> String {
     payload
         .downcast_ref::<&str>()
         .map(|s| (*s).to_owned())
@@ -79,12 +74,6 @@ impl fmt::Display for ItemFault {
             ItemFault::Skipped(reason) => write!(f, "skipped ({reason})"),
         }
     }
-}
-
-/// Internal per-item outcome: completed, panicked, or never started.
-enum Dropped {
-    Panic(Payload),
-    Skipped(CancelReason),
 }
 
 /// The budget under which one phase runs: the cancel token polled
@@ -149,6 +138,11 @@ impl ExecReport {
 /// inline on the caller's thread, matching the paper's single-threaded
 /// measurement mode exactly.
 ///
+/// Strict: a panicking item does not stop the others, but once the whole
+/// phase has drained the first panic is re-raised on the caller with its
+/// original message, so assertion messages from inside `f` survive the
+/// thread boundary.
+///
 /// ```
 /// let squares = pao_core::parallel::parallel_map(4, vec![1, 2, 3, 4], |x| x * x);
 /// assert_eq!(squares, vec![1, 4, 9, 16]);
@@ -159,116 +153,51 @@ where
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    parallel_map_report(threads, items, f).0
-}
-
-/// [`parallel_map`] that also reports worker count and per-worker busy
-/// time for the phase.
-///
-/// A worker panic is re-raised on the caller with its original payload
-/// (via [`std::panic::resume_unwind`]), so assertion messages from inside
-/// `f` survive the thread boundary.
-pub fn parallel_map_report<T, R, F>(threads: usize, items: Vec<T>, f: F) -> (Vec<R>, ExecReport)
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    parallel_map_labeled(threads, "item", items, f)
-}
-
-/// [`parallel_map_report`] with an observability label: when span
-/// recording is on ([`pao_obs::enable_trace`]), every item becomes one
-/// span named `label` on the claiming worker's track (worker `w` records
-/// on track `w + 1`; the labels reuse the busy-time instants, so tracing
-/// adds no clock reads to the hot loop). When recording is off the label
-/// is inert.
-pub fn parallel_map_labeled<T, R, F>(
-    threads: usize,
-    label: &'static str,
-    items: Vec<T>,
-    f: F,
-) -> (Vec<R>, ExecReport)
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    parallel_map_scratch(threads, label, items, || (), |(), item| f(item))
-}
-
-/// [`parallel_map_labeled`] with per-worker scratch state: `init` runs
-/// once on each worker thread (and once for the inline mode), and every
-/// item call receives that worker's `&mut S`. This is how per-worker
-/// arenas (e.g. [`pao_drc::DrcScratch`]) reach fine-grained scans — the
-/// repair and audit phases probe one pin per item and would otherwise
-/// re-allocate the DRC workspace per probe.
-///
-/// The scratch is dropped when its worker finishes; state that must
-/// outlive the phase (observability tallies) should be published from
-/// inside `f`.
-pub fn parallel_map_scratch<T, R, S, F, I>(
-    threads: usize,
-    label: &'static str,
-    items: Vec<T>,
-    init: I,
-    f: F,
-) -> (Vec<R>, ExecReport)
-where
-    T: Send,
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, T) -> R + Sync,
-{
     let token = CancelToken::never();
-    let (outcomes, report) = run_isolated(
+    let (outcomes, _) = parallel_map_budget(
         threads,
-        label,
+        "item",
         items,
-        init,
-        f,
+        || (),
+        |(), item| f(item),
         PhaseBudget::new(&token, None),
     );
-    let mut panic: Option<Payload> = None;
-    let out: Vec<R> = outcomes
+    // The phase has drained; a never-cancelled token leaves only panics
+    // as faults, and the first one in input order is re-raised.
+    outcomes
         .into_iter()
-        .filter_map(|o| match o {
-            Ok(r) => Some(r),
-            Err(Dropped::Panic(payload)) => {
-                panic = panic.take().or(Some(payload));
-                None
-            }
-            // Unreachable with a never-cancelled token; degrade to the
-            // strict panic path rather than silently dropping the slot.
-            Err(Dropped::Skipped(reason)) => {
-                panic = panic
-                    .take()
-                    .or_else(|| Some(Box::new(format!("executor: item skipped ({reason})"))));
-                None
-            }
-        })
-        .collect();
-    if let Some(payload) = panic {
-        // Strict contract: the whole phase drained (no half-poisoned
-        // state), then the first payload is re-raised with its original
-        // assertion message.
-        std::panic::resume_unwind(payload);
-    }
-    (out, report)
+        .collect::<Result<Vec<R>, ItemFault>>()
+        .unwrap_or_else(|fault| std::panic::resume_unwind(Box::new(fault.to_string())))
 }
 
-/// Fault-isolated map: like [`parallel_map_scratch`], but a panicking
-/// work item yields `Err(reason)` in its output slot (its quarantine
-/// record) while **every other item completes normally**. The executor
-/// and its slot mutexes stay fully usable afterwards — quarantine is
-/// per item, not per phase.
+/// The executor engine: order-preserving self-scheduling map with
+/// per-worker scratch state, per-item fault isolation, cooperative
+/// cancellation and an optional stall watchdog.
 ///
-/// A worker whose item panicked gets a fresh scratch (`init` is re-run)
-/// before claiming its next item, since the old scratch may have been
-/// left mid-update by the unwind.
+/// * `label` names the phase: with span recording on
+///   ([`pao_obs::enable_trace`]) every item becomes one span named
+///   `label` on the claiming worker's track (worker `w` records on track
+///   `w + 1`; the spans reuse the busy-time instants, so tracing adds no
+///   clock reads to the hot loop). It is also the key that
+///   [`crate::fault`] injection arms against.
+/// * `init` runs once on each worker thread (and once for the inline
+///   mode), and every item call receives that worker's `&mut S` — how
+///   per-worker arenas (e.g. [`pao_drc::DrcScratch`]) reach fine-grained
+///   scans. A worker whose item panicked gets a fresh scratch before its
+///   next item, since the unwind may have left the old one mid-update.
+///   State that must outlive the phase should be published from `f`.
+/// * `budget.token` is polled before every item claim. An item never
+///   started because the token tripped yields
+///   `Err(ItemFault::Skipped(reason))`; a panicking item yields
+///   `Err(ItemFault::Panic(reason))` while every other item completes.
+///   In-flight items always finish, so the `Ok` results form a prefix of
+///   the input (plus, for non-deterministic cancellations, whatever
+///   racing workers had already claimed).
 ///
 /// ```
-/// let (out, _) = pao_core::parallel::parallel_map_quarantine(
+/// use pao_core::{parallel::parallel_map_budget, CancelToken, ItemFault, PhaseBudget};
+/// let token = CancelToken::never();
+/// let (out, _) = parallel_map_budget(
 ///     2,
 ///     "docs.quarantine",
 ///     vec![1, 2, 3],
@@ -277,53 +206,12 @@ where
 ///         assert!(x != 2, "two is right out");
 ///         x * 10
 ///     },
+///     PhaseBudget::new(&token, None),
 /// );
 /// assert_eq!(out[0], Ok(10));
-/// assert!(out[1].as_ref().unwrap_err().contains("two is right out"));
+/// assert!(matches!(&out[1], Err(ItemFault::Panic(m)) if m.contains("two is right out")));
 /// assert_eq!(out[2], Ok(30));
 /// ```
-pub fn parallel_map_quarantine<T, R, S, F, I>(
-    threads: usize,
-    label: &'static str,
-    items: Vec<T>,
-    init: I,
-    f: F,
-) -> (Vec<Result<R, String>>, ExecReport)
-where
-    T: Send,
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, T) -> R + Sync,
-{
-    let token = CancelToken::never();
-    let (outcomes, report) = run_isolated(
-        threads,
-        label,
-        items,
-        init,
-        f,
-        PhaseBudget::new(&token, None),
-    );
-    let out = outcomes
-        .into_iter()
-        .map(|o| {
-            o.map_err(|d| match d {
-                Dropped::Panic(payload) => payload_reason(&payload),
-                Dropped::Skipped(reason) => format!("executor: item skipped ({reason})"),
-            })
-        })
-        .collect();
-    (out, report)
-}
-
-/// Deadline-aware fault-isolated map: like [`parallel_map_quarantine`],
-/// but additionally polls `budget.token` before every item claim and
-/// (optionally) runs a stall watchdog. An item that was never started
-/// because the token tripped yields `Err(ItemFault::Skipped(reason))`;
-/// a panicking item yields `Err(ItemFault::Panic(reason))`. In-flight
-/// items always finish, so the `Ok` results form a prefix of the input
-/// (plus, for non-deterministic cancellations, whatever racing workers
-/// had already claimed).
 pub fn parallel_map_budget<T, R, S, F, I>(
     threads: usize,
     label: &'static str,
@@ -338,65 +226,17 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, T) -> R + Sync,
 {
-    let (outcomes, report) = run_isolated(threads, label, items, init, f, budget);
-    let out = outcomes
-        .into_iter()
-        .map(|o| {
-            o.map_err(|d| match d {
-                Dropped::Panic(payload) => ItemFault::Panic(payload_reason(&payload)),
-                Dropped::Skipped(reason) => ItemFault::Skipped(reason),
-            })
-        })
-        .collect();
-    (out, report)
-}
-
-/// Applies the deterministic cut of [`CancelToken::cancel_at`]: results
-/// computed past the cut index (by workers racing the cancellation) are
-/// replaced with `Skipped`, so the surviving prefix is identical at
-/// every thread count.
-fn apply_cut<R>(out: &mut [Result<R, Dropped>], token: &CancelToken) {
-    let cut = token.cut();
-    if cut == usize::MAX {
-        return;
-    }
-    let reason = token.reason().unwrap_or(CancelReason::External);
-    for (i, slot) in out.iter_mut().enumerate() {
-        if i > cut && slot.is_ok() {
-            *slot = Err(Dropped::Skipped(reason));
-        }
-    }
-}
-
-/// The shared engine: self-scheduling order-preserving map with per-item
-/// `catch_unwind` isolation and cooperative cancellation. All entry
-/// points run through here; they differ only in how `Err` slots are
-/// surfaced (the strict/quarantine paths pass a never-cancelled token).
-fn run_isolated<T, R, S, F, I>(
-    threads: usize,
-    label: &'static str,
-    items: Vec<T>,
-    init: I,
-    f: F,
-    budget: PhaseBudget<'_>,
-) -> (Vec<Result<R, Dropped>>, ExecReport)
-where
-    T: Send,
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, T) -> R + Sync,
-{
     let n = items.len();
     // One guarded item call: the armed fault/stall hooks and the item
     // body all run inside the unwind boundary, so an injected or organic
     // panic is contained to this slot.
-    let run_one = |scratch: &mut S, i: usize, item: T| -> Result<R, Dropped> {
+    let run_one = |scratch: &mut S, i: usize, item: T| -> Result<R, ItemFault> {
         std::panic::catch_unwind(AssertUnwindSafe(|| {
             crate::fault::fire(label, i);
             crate::fault::stall_fire(label, i);
             f(scratch, item)
         }))
-        .map_err(Dropped::Panic)
+        .map_err(|payload| ItemFault::Panic(payload_reason(&*payload)))
     };
     // Inline mode: single-threaded, no monitor. A phase with a watchdog
     // armed always takes the threaded engine (even for `threads <= 1` —
@@ -405,11 +245,11 @@ where
     if n == 0 || (budget.watchdog.is_none() && (threads <= 1 || n == 1)) {
         let start = Instant::now();
         let mut scratch = init();
-        let mut out: Vec<Result<R, Dropped>> = Vec::with_capacity(n);
+        let mut out: Vec<Result<R, ItemFault>> = Vec::with_capacity(n);
         for (i, item) in items.into_iter().enumerate() {
             if budget.token.is_cancelled() {
                 let reason = budget.token.reason().unwrap_or(CancelReason::Deadline);
-                out.extend((i..n).map(|_| Err(Dropped::Skipped(reason))));
+                out.extend((i..n).map(|_| Err(ItemFault::Skipped(reason))));
                 break;
             }
             let res = run_one(&mut scratch, i, item);
@@ -437,7 +277,7 @@ where
     // contention is nil. No lock is held across the item call, and every
     // lock recovers from poisoning, so one fault cannot cascade.
     let work: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let done: Vec<Mutex<Option<Result<R, Dropped>>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let done: Vec<Mutex<Option<Result<R, ItemFault>>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
 
     // Watchdog instrumentation. Heartbeats are per-worker counters with
@@ -514,10 +354,9 @@ where
                                 Some(item) => run_one(&mut scratch, i, item),
                                 // Unreachable: fetch_add hands out each
                                 // index exactly once. Degrade, don't abort.
-                                None => Err(Dropped::Panic(Box::new(format!(
+                                None => Err(ItemFault::Panic(format!(
                                     "executor: work slot {i} claimed twice"
-                                ))
-                                    as Payload)),
+                                ))),
                             };
                             if out.is_err() {
                                 // The unwind may have left the scratch
@@ -556,7 +395,7 @@ where
     };
 
     let cancel_reason = budget.token.reason();
-    let mut out: Vec<Result<R, Dropped>> = done
+    let mut out: Vec<Result<R, ItemFault>> = done
         .into_iter()
         .enumerate()
         .map(|(i, slot)| {
@@ -564,15 +403,32 @@ where
                 .unwrap_or_else(PoisonError::into_inner)
                 .unwrap_or_else(|| match cancel_reason {
                     // Never claimed because the token tripped first.
-                    Some(reason) => Err(Dropped::Skipped(reason)),
-                    None => Err(Dropped::Panic(Box::new(format!(
+                    Some(reason) => Err(ItemFault::Skipped(reason)),
+                    None => Err(ItemFault::Panic(format!(
                         "executor: result slot {i} never filled"
-                    )) as Payload)),
+                    ))),
                 })
         })
         .collect();
     apply_cut(&mut out, budget.token);
     (out, ExecReport { threads, busy_us })
+}
+
+/// Applies the deterministic cut of [`CancelToken::cancel_at`]: results
+/// computed past the cut index (by workers racing the cancellation) are
+/// replaced with `Skipped`, so the surviving prefix is identical at
+/// every thread count.
+fn apply_cut<R>(out: &mut [Result<R, ItemFault>], token: &CancelToken) {
+    let cut = token.cut();
+    if cut == usize::MAX {
+        return;
+    }
+    let reason = token.reason().unwrap_or(CancelReason::External);
+    for (i, slot) in out.iter_mut().enumerate() {
+        if i > cut && slot.is_ok() {
+            *slot = Err(ItemFault::Skipped(reason));
+        }
+    }
 }
 
 /// The watchdog monitor loop: samples per-worker heartbeats every
@@ -679,6 +535,39 @@ fn worker_busy_us(cpu_start_ns: Option<u64>, wall_busy: Duration) -> u64 {
 mod tests {
     use super::*;
 
+    /// The engine with no deadline and no watchdog.
+    fn unbudgeted<T, R, S, F, I>(
+        threads: usize,
+        label: &'static str,
+        items: Vec<T>,
+        init: I,
+        f: F,
+    ) -> (Vec<Result<R, ItemFault>>, ExecReport)
+    where
+        T: Send,
+        R: Send,
+        I: Fn() -> S + Sync,
+        F: Fn(&mut S, T) -> R + Sync,
+    {
+        let token = CancelToken::never();
+        parallel_map_budget(
+            threads,
+            label,
+            items,
+            init,
+            f,
+            PhaseBudget::new(&token, None),
+        )
+    }
+
+    /// The quarantine reason of a panicked slot.
+    fn panic_reason<R>(o: &Result<R, ItemFault>) -> &str {
+        match o {
+            Err(ItemFault::Panic(reason)) => reason,
+            _ => panic!("expected a quarantined item"),
+        }
+    }
+
     #[test]
     fn preserves_order() {
         let input: Vec<i64> = (0..1000).collect();
@@ -732,12 +621,18 @@ mod tests {
 
     #[test]
     fn reports_threads_and_busy_time() {
-        let (out, rep) = parallel_map_report(3, (0..64).collect::<Vec<u32>>(), |x| x + 1);
+        let (out, rep) = unbudgeted(
+            3,
+            "test.report",
+            (0..64).collect::<Vec<u32>>(),
+            || (),
+            |(), x| x + 1,
+        );
         assert_eq!(out.len(), 64);
         assert_eq!(rep.threads, 3);
         assert_eq!(rep.busy_us.len(), 3);
         // Inline mode reports a single worker.
-        let (_, rep1) = parallel_map_report(1, vec![1, 2, 3], |x| x);
+        let (_, rep1) = unbudgeted(1, "test.report", vec![1, 2, 3], || (), |(), x| x);
         assert_eq!(rep1.threads, 1);
         assert_eq!(rep1.busy_us.len(), 1);
     }
@@ -745,9 +640,13 @@ mod tests {
     #[test]
     fn labeled_run_records_spans_covering_busy_time() {
         pao_obs::enable_trace();
-        let (out, rep) = parallel_map_labeled(3, "test.core.tick", (0..64u64).collect(), |x| {
-            (0..20_000 + x).fold(0u64, |a, b| a.wrapping_add(b * b))
-        });
+        let (out, rep) = unbudgeted(
+            3,
+            "test.core.tick",
+            (0..64u64).collect(),
+            || (),
+            |(), x| (0..20_000 + x).fold(0u64, |a, b| a.wrapping_add(b * b)),
+        );
         pao_obs::disable_all();
         let dump = pao_obs::take_trace();
         assert_eq!(out.len(), 64);
@@ -774,7 +673,7 @@ mod tests {
     #[test]
     fn scratch_state_persists_per_worker() {
         for threads in [1, 3] {
-            let (out, _) = parallel_map_scratch(
+            let (out, _) = unbudgeted(
                 threads,
                 "test.scratch",
                 (0..100u32).collect::<Vec<_>>(),
@@ -784,6 +683,7 @@ mod tests {
                     (x, *seen)
                 },
             );
+            let out: Vec<(u32, u32)> = out.into_iter().map(Result::unwrap).collect();
             // Order preserved; every worker's counter is monotone from 1.
             assert!(out.iter().enumerate().all(|(i, &(x, _))| x == i as u32));
             assert!(out.iter().all(|&(_, s)| s >= 1));
@@ -798,7 +698,7 @@ mod tests {
     #[test]
     fn quarantine_isolates_panicking_item() {
         for threads in [1, 4] {
-            let (out, rep) = parallel_map_quarantine(
+            let (out, rep) = unbudgeted(
                 threads,
                 "test.quarantine",
                 (0..16i64).collect::<Vec<_>>(),
@@ -811,7 +711,7 @@ mod tests {
             assert_eq!(out.len(), 16, "{threads}");
             for (i, o) in out.iter().enumerate() {
                 if i == 5 {
-                    let reason = o.as_ref().expect_err("item 5 must be quarantined");
+                    let reason = panic_reason(o);
                     assert!(reason.contains("item five exploded"), "{reason}");
                 } else {
                     assert_eq!(*o, Ok(i as i64 * 2), "item {i} at {threads} threads");
@@ -826,7 +726,7 @@ mod tests {
         // Regression: a panicking item used to poison the done-slot chain
         // and abort the scope; now the same executor (and the process)
         // keeps working afterwards.
-        let (out, _) = parallel_map_quarantine(
+        let (out, _) = unbudgeted(
             4,
             "test.reuse.faulty",
             (0..32u64).collect::<Vec<_>>(),
@@ -847,7 +747,7 @@ mod tests {
     fn quarantine_reinitializes_scratch_after_panic() {
         // Inline mode is deterministic: the item after the panic must see
         // a fresh scratch, not one abandoned mid-unwind.
-        let (out, _) = parallel_map_quarantine(
+        let (out, _) = unbudgeted(
             1,
             "test.scratch.reinit",
             vec![10u32, 11, 12],
@@ -868,7 +768,7 @@ mod tests {
         let _g = crate::fault::test_lock();
         for threads in [1, 4] {
             crate::fault::arm("test.inject", 2);
-            let (out, _) = parallel_map_quarantine(
+            let (out, _) = unbudgeted(
                 threads,
                 "test.inject",
                 (0..8u32).collect::<Vec<_>>(),
@@ -878,7 +778,7 @@ mod tests {
             assert!(!crate::fault::armed(), "fault must have fired");
             for (i, o) in out.iter().enumerate() {
                 if i == 2 {
-                    let reason = o.as_ref().expect_err("armed item quarantined");
+                    let reason = panic_reason(o);
                     assert!(reason.contains("injected fault"), "{reason}");
                 } else {
                     assert_eq!(*o, Ok(i as u32), "{threads}");

@@ -7,7 +7,7 @@
 //! text format (like LEF/DEF, greppable and diff-friendly), versioned by
 //! a header.
 //!
-//! [`CheckpointStore`] (format v3) extends the same machinery to
+//! [`CheckpointStore`] (format v4) extends the same machinery to
 //! *within-run* durability: completed apgen and pattern items are written
 //! after each phase (atomic tmp+rename, see [`write_atomic`]), so a
 //! deadline-cut, killed, or crashed run resumes via `--checkpoint DIR
@@ -16,6 +16,7 @@
 use crate::apgen::{AccessPoint, PlanarDir};
 use crate::budget::PhaseFractions;
 use crate::coord::CoordType;
+use crate::oracle::ApTally;
 use crate::pattern::AccessPattern;
 use pao_geom::{Dbu, Orient, Point};
 use pao_tech::Symbol;
@@ -45,7 +46,7 @@ impl fmt::Display for LoadCacheError {
 
 impl std::error::Error for LoadCacheError {}
 
-const MAGIC: &str = "PAO-CACHE v3";
+const MAGIC: &str = "PAO-CACHE v4";
 
 fn coord_code(t: CoordType) -> u8 {
     t.cost() as u8
@@ -237,7 +238,7 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Prepends the versioned, checksummed header (`PAO-CACHE v3
+/// Prepends the versioned, checksummed header (`PAO-CACHE v4
 /// fnv1a=<16 hex>`) to a serialized cache body.
 pub(crate) fn seal(body: &str) -> String {
     format!("{MAGIC} fnv1a={:016x}\n{body}", fnv1a(body.as_bytes()))
@@ -362,14 +363,8 @@ pub struct ApgenSnapshot {
     pub rep_location: Point,
     /// Access points per master pin.
     pub pin_aps: Vec<Vec<AccessPoint>>,
-    /// This instance's `total_aps` contribution.
-    pub total: usize,
-    /// This instance's `dirty_aps` contribution.
-    pub dirty: usize,
-    /// This instance's `pins_without_aps` contribution.
-    pub without: usize,
-    /// This instance's `off_track_aps` contribution.
-    pub off_track: usize,
+    /// This instance's contribution to the step-1 run counters.
+    pub tally: ApTally,
 }
 
 /// Checkpointed step-2 output for one unique instance. `aps_fnv` pins the
@@ -400,7 +395,7 @@ pub struct PatternSnapshot {
 /// measured phase fractions of the last finished run (`history.ckpt`),
 /// which seed the next run's [`BudgetAllocator`](crate::budget::BudgetAllocator).
 ///
-/// All files use the sealed v3 format; a corrupt or legacy file on resume
+/// All files use the sealed v4 format; a corrupt or legacy file on resume
 /// degrades to an empty section (reported, never fatal).
 #[derive(Debug)]
 pub struct CheckpointStore {
@@ -541,10 +536,10 @@ impl CheckpointStore {
                 phases_str(&s.phases),
                 s.rep_location.x,
                 s.rep_location.y,
-                s.total,
-                s.dirty,
-                s.without,
-                s.off_track,
+                s.tally.total,
+                s.tally.dirty,
+                s.tally.without,
+                s.tally.off_track,
             );
             for (pi, aps) in s.pin_aps.iter().enumerate() {
                 let _ = writeln!(body, "PIN {} {}", pi, aps.len());
@@ -732,10 +727,12 @@ fn parse_apgen_checkpoint(text: &str) -> Result<HashMap<usize, ApgenSnapshot>, L
                 phases,
                 rep_location,
                 pin_aps,
-                total,
-                dirty,
-                without,
-                off_track,
+                tally: ApTally {
+                    total,
+                    dirty,
+                    without,
+                    off_track,
+                },
             },
         );
     }
@@ -1315,7 +1312,7 @@ mod tests {
     #[test]
     fn seal_open_roundtrip() {
         let sealed = seal("BODY line 1\nBODY line 2\n");
-        assert!(sealed.starts_with("PAO-CACHE v3 fnv1a="));
+        assert!(sealed.starts_with("PAO-CACHE v4 fnv1a="));
         assert_eq!(open(&sealed).unwrap(), "BODY line 1\nBODY line 2\n");
     }
 
@@ -1325,10 +1322,11 @@ mod tests {
         assert!(open("garbage").is_err());
         assert!(open("PAO-CACHE v1\nENTRY ...\n").is_err());
         assert!(open("PAO-CACHE v2 fnv1a=0000000000000000\n").is_err());
+        assert!(open("PAO-CACHE v3 fnv1a=cbf29ce484222325\n").is_err());
         assert!(open("").is_err());
         // Missing or malformed checksum.
-        assert!(open("PAO-CACHE v3\nbody\n").is_err());
-        assert!(open("PAO-CACHE v3 fnv1a=xyz\nbody\n").is_err());
+        assert!(open("PAO-CACHE v4\nbody\n").is_err());
+        assert!(open("PAO-CACHE v4 fnv1a=xyz\nbody\n").is_err());
         // Truncated body no longer matches the recorded checksum.
         let sealed = seal("line 1\nline 2\n");
         let truncated = &sealed[..sealed.len() - 3];
@@ -1357,10 +1355,12 @@ mod tests {
                 Vec::new(),
                 vec![sample_ap(), sample_ap()],
             ],
-            total: 3,
-            dirty: 0,
-            without: 1,
-            off_track: 2,
+            tally: ApTally {
+                total: 3,
+                dirty: 0,
+                without: 1,
+                off_track: 2,
+            },
         }
     }
 

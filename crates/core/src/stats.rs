@@ -70,9 +70,9 @@ pub struct PaoStats {
     /// cuts are deterministic).
     pub deadline: DeadlineReport,
     /// Cluster-selection fast-path instrumentation (probe/edge counts,
-    /// memo hit rate, pruning, wavefront sub-ranges). Deterministic per
-    /// tuning except `subranges`, which scales with the worker count —
-    /// excluded from [`Self::counters_eq`] for that reason.
+    /// pruning, wavefront sub-ranges). Deterministic except `subranges`,
+    /// which scales with the worker count — excluded from
+    /// [`Self::counters_eq`] for that reason.
     pub select_telemetry: crate::cluster::SelectTelemetry,
 }
 

@@ -145,5 +145,36 @@ fn injected_faults_degrade_never_abort() {
             _ => unreachable!(),
         }
     }
+
+    // A panic inside a wavefront sub-range (the nested `select.subrange`
+    // fan-out of one selection group) quarantines its enclosing group.
+    // Multi-height flops join clusters of adjacent rows into groups whose
+    // wavefront levels hold several clusters.
+    let (tech, design) = generate(&SuiteCase {
+        name: "mh".into(),
+        cells: 250,
+        nets: 200,
+        io_pins: 8,
+        utilization: 85,
+        seed: 1234,
+        ..SuiteCase::small_smoke()
+    });
+    let mut split = PaoConfig {
+        threads: 4,
+        ..PaoConfig::default()
+    };
+    split.select.split_min_clusters = 1;
+    fault::arm("select.subrange", 0);
+    let r = PinAccessOracle::with_config(split).analyze(&tech, &design);
+    assert!(!fault::armed(), "fault at select.subrange must have fired");
+    assert_eq!(r.stats.quarantined.len(), 1, "{}", r.stats);
+    let f = &r.stats.quarantined[0];
+    assert_eq!(f.phase, Phase::Select);
+    assert!(f.item.starts_with("selection group"), "{}", f.item);
+    assert!(
+        f.reason.contains("injected fault at select.subrange[0]"),
+        "{}",
+        f.reason
+    );
     fault::disarm();
 }

@@ -1,12 +1,11 @@
 //! Allocation regression gate for the cluster-selection fast path.
 //!
-//! The steady-state selection loop — near-boundary collection, DP rows,
-//! memo lookups and pairwise via probes — runs entirely out of
-//! [`SelectScratch`]'s reused buffers. This test drives `solve_group`
-//! twice over the same workload with a warm scratch and asserts the
-//! second pass performs **zero** heap allocations, using a counting
-//! wrapper around the system allocator (criterion is not available in
-//! the offline build, so the gate lives here instead of a bench).
+//! The steady-state selection loop — near-boundary collection, DP rows
+//! and pairwise via probes — runs entirely out of [`SelectScratch`]'s
+//! reused buffers. This test drives `solve_group` twice over the same
+//! workload with a warm scratch and asserts the second pass performs
+//! **zero** heap allocations, using a counting wrapper around the system
+//! allocator.
 
 use pao_core::cluster::{
     build_clusters, conflict_reach, group_clusters, pair_reach, solve_group, SelectScratch,
@@ -102,7 +101,7 @@ fn world() -> (Tech, Design) {
 }
 
 /// One full selection pass over every group with a shared warm scratch,
-/// mirroring the sequential path of `select_patterns_budget`.
+/// mirroring the sequential path of `select_patterns`.
 #[allow(clippy::too_many_arguments)]
 fn run_selection(
     t: &Tech,

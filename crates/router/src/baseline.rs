@@ -297,8 +297,9 @@ fn on_track_coords(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pao_core::oracle::count_failed_pins_with;
+    use pao_core::oracle::count_failed_pins;
     use pao_core::unique::{build_instance_context, local_pin_owner};
+    use pao_core::{CancelToken, PhaseBudget};
     use pao_drc::DrcEngine;
     use pao_testgen::{generate, SuiteCase};
 
@@ -369,8 +370,14 @@ mod tests {
     fn baseline_fails_pins() {
         let (tech, design) = world();
         let r = baseline_pin_access(&tech, &design, &BaselineConfig::default());
-        let (total, failed) =
-            count_failed_pins_with(&tech, &design, |c, p| r.access_point(&design, c, p));
+        let never = CancelToken::never();
+        let ((total, failed), ..) = count_failed_pins(
+            &tech,
+            &design,
+            |c, p| r.access_point(&design, c, p),
+            1,
+            PhaseBudget::new(&never, None),
+        );
         assert_eq!(total, design.connected_pin_count());
         assert!(
             failed > 0,

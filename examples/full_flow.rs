@@ -6,8 +6,8 @@
 //! cargo run --release --example full_flow
 //! ```
 
-use paaf::pao::oracle::count_failed_pins_with;
-use paaf::pao::PinAccessOracle;
+use paaf::pao::oracle::count_failed_pins;
+use paaf::pao::{CancelToken, PhaseBudget, PinAccessOracle};
 use paaf::router::route::{RouteConfig, Router};
 use paaf::router::{baseline_pin_access, score, BaselineConfig};
 use paaf::testgen::{generate, ispd18s_suite, SuiteCase};
@@ -42,8 +42,14 @@ fn main() {
     // Baseline comparison (Table II/III shape).
     println!("\n== TrRte-like baseline ==");
     let base = baseline_pin_access(&tech2, &design2, &BaselineConfig::default());
-    let (total, base_failed) =
-        count_failed_pins_with(&tech2, &design2, |c, p| base.access_point(&design2, c, p));
+    let never = CancelToken::never();
+    let ((total, base_failed), ..) = count_failed_pins(
+        &tech2,
+        &design2,
+        |c, p| base.access_point(&design2, c, p),
+        1,
+        PhaseBudget::new(&never, None),
+    );
     println!(
         "baseline: {} APs, {}/{} failed pins  |  PAAF: {} APs, {}/{} failed pins",
         base.total_aps, base_failed, total, pao.stats.total_aps, pao.stats.failed_pins, total

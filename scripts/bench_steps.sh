@@ -2,7 +2,7 @@
 # Times the three PAAF steps (std::time::Instant inside the oracle)
 # single-threaded vs. parallel and appends the comparison to a history
 # array in BENCH_pao.json, printing the delta against the previous run.
-# Offline; uses the generated suite, no criterion.
+# Offline; uses the generated suite.
 #
 # Usage: scripts/bench_steps.sh [case] [threads] [out.json]
 #   case     testgen case name (smoke, ispd18s_test1..10, aes14);
@@ -60,11 +60,8 @@ if run.get("host_threads", 0) < requested:
 print(f"appended run #{len(hist)} ({run['workload']}) to {out_path}")
 sel = run.get("select")
 if sel:
-    lookups = sel["cache_hits"] + sel["cache_misses"]
-    rate = 100.0 * sel["cache_hits"] / lookups if lookups else 0.0
     print(
-        f"  select     compat-cache {rate:.1f}% hit rate "
-        f"({sel['cache_hits']}/{lookups}), {sel['probes']} probes, "
+        f"  select     {sel['probes']} probes, "
         f"{sel['edges_pruned']} edges pruned, {sel['pairs_far']} pairs far"
     )
 if prev is None:

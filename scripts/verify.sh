@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
 # Offline tier-1 verification: formatting, lints, release build and the
 # full test suite. Needs no network — the workspace has zero external
-# dependencies (the criterion benches live in the excluded crates/bench
-# package; see scripts/reproduce.sh for those).
+# dependencies.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -21,6 +20,12 @@ cargo clippy --workspace --lib --bins -- \
 
 echo "== release build =="
 cargo build --workspace --release
+
+echo "== paobench build =="
+# paobench/ is a package of its own (not a workspace member) that calls
+# the public API; building it here makes an API change that breaks the
+# benchmark fail verification instead of the benchmark run.
+cargo build --release --manifest-path paobench/Cargo.toml --target-dir target/paobench
 
 echo "== tests =="
 cargo test --workspace -q
@@ -82,20 +87,16 @@ grep -q "watchdog.stalls" "$out" || { echo "watchdog counter missing"; exit 1; }
 echo "deadline e2e: OK"
 
 echo "== selection identity =="
-# The cluster-selection fast path (compat memo, DP pruning, wavefront
-# split) must be output-invariant: --dump-selection files from any
-# thread count / memo / split combination are byte-identical
-# (DESIGN.md §14). The memo is off by default, so --select-memo combos
-# keep the memoized path covered; --select-split 1 forces the
-# intra-group split even on small groups so the parallel merge path is
-# covered.
+# The cluster-selection fast path (DP pruning, wavefront split) must be
+# output-invariant: --dump-selection files from any thread count / split
+# combination are byte-identical (DESIGN.md §14). --select-split 1
+# forces the intra-group split even on small groups so the parallel
+# merge path is covered.
 ref="$rep/sel-ref.txt"
 target/release/pao analyze benchmarks/smoke.lef benchmarks/smoke.def \
     --threads 1 --dump-selection "$ref" > /dev/null 2>&1
 i=0
-for flags in "--threads 4" "--threads 1 --select-memo" \
-             "--threads 4 --select-split 1" \
-             "--threads 4 --select-split 1 --select-memo"; do
+for flags in "--threads 4" "--threads 4 --select-split 1"; do
     i=$((i+1))
     # shellcheck disable=SC2086
     target/release/pao analyze benchmarks/smoke.lef benchmarks/smoke.def \
@@ -107,8 +108,7 @@ echo "selection identity: OK"
 
 echo "== selection zero-alloc gate =="
 # The warm selection pass must not allocate (counting-allocator
-# integration test; criterion is unavailable offline, so the gate lives
-# in the test suite and is re-run here explicitly).
+# integration test, re-run here explicitly).
 cargo test -p pao-core --test select_alloc -q
 
 echo "== sweep scale identity =="

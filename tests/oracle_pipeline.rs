@@ -96,7 +96,14 @@ fn reported_stats_are_reproducible() {
     // The stats in the result must agree with an independent recount.
     let (tech, design) = generate(&SuiteCase::small_smoke());
     let result = PinAccessOracle::new().analyze(&tech, &design);
-    let (total, failed) = paaf::pao::oracle::count_failed_pins(&tech, &design, &result);
+    let never = paaf::pao::CancelToken::never();
+    let ((total, failed), ..) = paaf::pao::oracle::count_failed_pins(
+        &tech,
+        &design,
+        |c, p| result.access_point(&design, c, p),
+        1,
+        paaf::pao::PhaseBudget::new(&never, None),
+    );
     assert_eq!(total, result.stats.total_pins);
     assert_eq!(failed, result.stats.failed_pins);
     // And the whole analysis is deterministic.
