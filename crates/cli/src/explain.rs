@@ -82,11 +82,6 @@ pub(crate) fn cmd_explain(args: &Args) -> Result<(), CliError> {
         args.positional(1).map_err(CliError::Usage)?,
         args.positional(2).map_err(CliError::Usage)?,
     )?;
-    for name in ["--pin", "--inst"] {
-        if args.value_missing(name) {
-            return Err(CliError::usage(format!("{name} requires a value")));
-        }
-    }
     let threads = parse_threads(args)?;
     let lookup = |inst: &str| {
         design
@@ -320,11 +315,6 @@ pub(crate) fn cmd_report(args: &Args) -> Result<(), CliError> {
         args.positional(1).map_err(CliError::Usage)?,
         args.positional(2).map_err(CliError::Usage)?,
     )?;
-    for name in ["--out", "--top", "--heatmap"] {
-        if args.value_missing(name) {
-            return Err(CliError::usage(format!("{name} requires a value")));
-        }
-    }
     let threads = parse_threads(args)?;
     let top: usize = args
         .value("--top")

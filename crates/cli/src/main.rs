@@ -209,23 +209,11 @@ fn arm_injected_stall(spec: &str) -> Result<(), CliError> {
 }
 
 /// Parses the shared deadline/watchdog/stall-injection flags into
-/// `(deadline, watchdog)`. Rejects value options that arrived without a
-/// value (usage error, exit 2). The watchdog is armed whenever any of
+/// `(deadline, watchdog)`. The watchdog is armed whenever any of
 /// `--deadline-ms`, `--watchdog-ms` or `--inject-stall` is present.
 fn parse_budget_flags(
     args: &Args,
 ) -> Result<(Option<Duration>, Option<pao_core::Watchdog>), CliError> {
-    for name in [
-        "--inject-fault",
-        "--inject-stall",
-        "--deadline-ms",
-        "--watchdog-ms",
-        "--checkpoint",
-    ] {
-        if args.value_missing(name) {
-            return Err(CliError::usage(format!("{name} requires a value")));
-        }
-    }
     let deadline = args
         .value("--deadline-ms")
         .map(|ms| ms.parse::<u64>().map(Duration::from_millis))
@@ -255,11 +243,6 @@ fn parse_budget_flags(
 /// minimum group size for the intra-group wavefront split (0 disables,
 /// 1 forces it). Shared by analyze/profile.
 fn parse_select_flags(args: &Args, select: &mut pao_core::SelectTuning) -> Result<(), CliError> {
-    for name in ["--select-split", "--dump-selection"] {
-        if args.value_missing(name) {
-            return Err(CliError::usage(format!("{name} requires a value")));
-        }
-    }
     if let Some(v) = args.value("--select-split") {
         select.split_min_clusters = v
             .parse()
@@ -1177,7 +1160,9 @@ USAGE:
   pao profile [<tech.lef> <design.def>] [--case NAME] [--threads N]
               [--trace FILE] [--report FILE] [--deadline-ms MS]
               [--watchdog-ms MS] [--inject-stall PHASE[:INDEX[:MS]]]
-              [--select-split N] [--ledger]
+              [--inject-fault PHASE[:INDEX]] [--select-split N]
+              [--ledger]
+  pao profile (--socket PATH | --tcp ADDR) [--timeout-ms MS]
   pao explain <tech.lef> <design.def> (--pin INSTANCE/PIN | --inst NAME)
               [--threads N] [--report FILE]
   pao report  <tech.lef> <design.def> [--out FILE] [--top N]
@@ -1265,8 +1250,9 @@ USAGE:
   get_cluster_selection {inst}, eco_update {moves:[{inst,x,y|dx,dy}],
   deadline_ms?}, dump_selection, stats, batch (params = array of
   requests, fanned across --threads workers), shutdown. Queries are
-  pure reads over immutable snapshots — concurrent clients get
-  byte-identical answers — and eco_update re-analyzes copy-on-write
+  pure reads over one immutable published snapshot — concurrent
+  clients get byte-identical answers, and a query never waits for an
+  ECO — while eco_update re-analyzes copy-on-write beside them
   through the incremental dirty-cluster path (--deadline-ms sets the
   default per-ECO budget; --checkpoint DIR [--resume] warm-starts the
   load). call is the matching client: each REQUEST argument (or stdin
@@ -1299,7 +1285,12 @@ USAGE:
 ";
 
 fn main() -> ExitCode {
-    let args = match Args::parse(std::env::args().skip(1).collect()) {
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    let Some(spec) = raw.first().and_then(|command| args::spec(command)) else {
+        eprint!("{USAGE}");
+        return ExitCode::from(2);
+    };
+    let args = match Args::parse(raw, spec) {
         Ok(args) => args,
         Err(e) => {
             let e = CliError::usage(e);

@@ -16,10 +16,13 @@
 //! Methods: `get_pin_access`, `get_instance_patterns`,
 //! `get_cluster_selection`, `eco_update`, `dump_selection`, `stats`,
 //! `batch` (params = array of requests, fanned onto the work-stealing
-//! executor) and `shutdown`. Queries are pure reads over the service's
-//! immutable snapshots, so concurrent connections get byte-identical
-//! answers at any thread count; `eco_update` swaps the snapshots
-//! copy-on-write behind a write lock.
+//! executor) and `shutdown`. Queries are pure reads over one published
+//! [`ServiceSnapshot`], so concurrent connections get byte-identical
+//! answers at any thread count. A query clones the published `Arc` under
+//! a lock held only for that clone, then answers lock-free; it never
+//! waits for an ECO. `eco_update` runs under the writer mutex (ECOs and
+//! journal appends serialize there) and publishes its new snapshot with
+//! one pointer swap.
 //!
 //! # Hardening (DESIGN.md §17)
 //!
@@ -41,7 +44,8 @@
 use crate::args::Args;
 use crate::{load_world, open_checkpoint, parse_budget_flags, CliError};
 use pao_core::{
-    EcoJournal, EcoMove, EcoTarget, OracleService, PaoConfig, RunBudget, ServiceError, Watchdog,
+    EcoJournal, EcoMove, EcoTarget, OracleService, PaoConfig, RunBudget, ServiceError,
+    ServiceSnapshot, Watchdog,
 };
 use pao_geom::Point;
 use pao_obs::json::{self, Value};
@@ -50,7 +54,7 @@ use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// JSON-RPC error codes: the standard ones, `1` for typed service errors
@@ -113,6 +117,9 @@ struct ServeCounters {
     inflight_peak: AtomicU64,
     eco_degraded: AtomicU64,
     journal_replayed: AtomicU64,
+    /// `eco_update` requests dispatched and not yet answered (queued on
+    /// the writer mutex or re-analyzing).
+    eco_inflight: AtomicU64,
 }
 
 impl ServeCounters {
@@ -218,7 +225,11 @@ impl Write for Stream {
 
 /// State shared by the accept loop and every connection thread.
 struct Shared {
-    service: RwLock<OracleService>,
+    /// The published snapshot. The lock is held only to clone or swap
+    /// the pointer, never while a query or an ECO runs.
+    published: Mutex<Arc<ServiceSnapshot>>,
+    /// The writer: serializes ECOs and their journal appends.
+    writer: Mutex<OracleService>,
     shutdown: AtomicBool,
     threads: usize,
     /// Default deadline applied to `eco_update` requests that carry no
@@ -230,22 +241,19 @@ struct Shared {
     counters: ServeCounters,
 }
 
-impl Shared {
-    /// Read access to the service, recovering from a poisoned lock (a
-    /// panicking request must not take the daemon down — snapshots are
-    /// swapped atomically, so the state is always consistent).
-    fn read(&self) -> RwLockReadGuard<'_, OracleService> {
-        match self.service.read() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
+/// Locks `m`, recovering from poisoning: a panicking request must not
+/// take the daemon down, and neither lock guards a half-written state
+/// (snapshots are published whole, by one pointer store).
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
-    fn write(&self) -> RwLockWriteGuard<'_, OracleService> {
-        match self.service.write() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
+impl Shared {
+    /// The current snapshot. Readers answer from the returned `Arc`
+    /// after the lock is released, so an ECO publishing meanwhile never
+    /// blocks them and never changes what they see.
+    fn snapshot(&self) -> Arc<ServiceSnapshot> {
+        Arc::clone(&lock(&self.published))
     }
 }
 
@@ -359,23 +367,18 @@ fn parse_moves(req: &Value) -> Result<Vec<EcoMove>, RpcError> {
     Ok(moves)
 }
 
-/// The `serve` counters object embedded in `stats` responses.
-fn serve_json(shared: &Shared) -> String {
+/// The `serve` counters object embedded in `stats` responses: live wire
+/// counters plus the degraded-ECO and journal counts of `snap`.
+fn serve_json(shared: &Shared, snap: &ServiceSnapshot) -> String {
     let c = &shared.counters;
     let get = |a: &AtomicU64| a.load(Ordering::SeqCst);
-    let (journal_entries, degraded_ecos) = {
-        let svc = shared.read();
-        (
-            svc.journal().map_or(0, pao_core::EcoJournal::entries),
-            svc.degraded_ecos(),
-        )
-    };
     format!(
         concat!(
             "{{\"requests\":{},\"active_conns\":{},\"shed_conns\":{},",
             "\"shed_requests\":{},\"oversized\":{},\"request_capped\":{},",
             "\"idle_closed\":{},\"inflight\":{},\"inflight_peak\":{},",
-            "\"eco_degraded\":{},\"journal_replayed\":{},\"journal_entries\":{}}}"
+            "\"eco_degraded\":{},\"journal_replayed\":{},\"journal_entries\":{},",
+            "\"eco_inflight\":{}}}"
         ),
         get(&c.requests),
         get(&c.active_conns),
@@ -386,21 +389,27 @@ fn serve_json(shared: &Shared) -> String {
         get(&c.idle_closed),
         get(&c.inflight),
         get(&c.inflight_peak),
-        get(&c.eco_degraded).max(degraded_ecos),
+        get(&c.eco_degraded).max(snap.degraded_ecos()),
         get(&c.journal_replayed),
-        journal_entries,
+        snap.journal_entries(),
+        get(&c.eco_inflight),
     )
 }
 
-/// Runs one method and returns its `result` payload.
-fn method_result(method: &str, req: &Value, shared: &Shared) -> Result<String, RpcError> {
+/// Runs one method and returns its `result` payload. Queries and `stats`
+/// answer from `snap`; `eco_update` goes to the writer.
+fn method_result(
+    method: &str,
+    req: &Value,
+    shared: &Shared,
+    snap: &ServiceSnapshot,
+) -> Result<String, RpcError> {
     match method {
         "get_pin_access" => {
             let inst = str_param(req, "inst")?;
             let pin = str_param(req, "pin")?;
-            let svc = shared.read();
-            let r = svc.pin_access(inst, pin).map_err(|e| svc_err(&e))?;
-            let tech = svc.tech();
+            let r = snap.pin_access(inst, pin).map_err(|e| svc_err(&e))?;
+            let tech = snap.tech();
             let selected = r
                 .selected
                 .as_ref()
@@ -429,8 +438,7 @@ fn method_result(method: &str, req: &Value, shared: &Shared) -> Result<String, R
         }
         "get_instance_patterns" => {
             let inst = str_param(req, "inst")?;
-            let svc = shared.read();
-            let r = svc.instance_patterns(inst).map_err(|e| svc_err(&e))?;
+            let r = snap.instance_patterns(inst).map_err(|e| svc_err(&e))?;
             let patterns: Vec<String> = r
                 .patterns
                 .iter()
@@ -455,9 +463,8 @@ fn method_result(method: &str, req: &Value, shared: &Shared) -> Result<String, R
         }
         "get_cluster_selection" => {
             let inst = str_param(req, "inst")?;
-            let svc = shared.read();
-            let r = svc.cluster_selection(inst).map_err(|e| svc_err(&e))?;
-            let tech = svc.tech();
+            let r = snap.cluster_selection(inst).map_err(|e| svc_err(&e))?;
+            let tech = snap.tech();
             let pattern = r
                 .pattern
                 .map_or_else(|| "null".to_owned(), |p| p.to_string());
@@ -473,22 +480,18 @@ fn method_result(method: &str, req: &Value, shared: &Shared) -> Result<String, R
                 overrides.join(","),
             ))
         }
-        "dump_selection" => {
-            let svc = shared.read();
-            Ok(format!(
-                "{{\"dump\":{}}}",
-                json::quote(&svc.selection_dump())
-            ))
-        }
+        "dump_selection" => Ok(format!(
+            "{{\"dump\":{}}}",
+            json::quote(&snap.selection_dump())
+        )),
         "stats" => {
-            let serve = serve_json(shared);
-            let svc = shared.read();
-            let (hits, misses) = svc.cache_stats();
+            let serve = serve_json(shared, snap);
+            let (hits, misses) = snap.cache_stats();
             let sym = pao_tech::symbol_stats();
             pao_obs::gauge_max("symbol.interned", sym.interned as u64);
             pao_obs::gauge_max("symbol.arena_bytes", sym.arena_bytes as u64);
-            let stats = &svc.result().stats;
-            let fr = svc.fractions().snapshot().0;
+            let stats = &snap.result().stats;
+            let fr = snap.fractions().0;
             let fr_strs: Vec<String> = fr.iter().map(|f| format!("{f:.4}")).collect();
             Ok(format!(
                 concat!(
@@ -498,13 +501,13 @@ fn method_result(method: &str, req: &Value, shared: &Shared) -> Result<String, R
                     "\"symbol\":{{\"interned\":{},\"arena_bytes\":{}}},",
                     "\"server\":{{\"requests\":{}}},\"serve\":{},\"fractions\":[{}]}}"
                 ),
-                json::quote(&svc.design().name),
-                svc.design().components().len(),
-                svc.design().nets().len(),
+                json::quote(&snap.design().name),
+                snap.design().components().len(),
+                snap.design().nets().len(),
                 stats.unique_instances,
                 stats.total_aps,
                 stats.failed_pins,
-                svc.eco_updates(),
+                snap.eco_updates(),
                 hits,
                 misses,
                 sym.interned,
@@ -522,8 +525,7 @@ fn method_result(method: &str, req: &Value, shared: &Shared) -> Result<String, R
                 .and_then(Value::as_i64)
                 .map(|ms| Duration::from_millis(ms.max(0) as u64))
                 .or(shared.eco_deadline);
-            let mut svc = shared.write();
-            match svc.eco_update(&moves, deadline, shared.eco_watchdog) {
+            match run_eco(shared, &moves, deadline) {
                 Ok(r) => Ok(format!(
                     concat!(
                         "{{\"moved\":{},\"cache_hits\":{},\"cache_misses\":{},",
@@ -566,11 +568,41 @@ fn method_result(method: &str, req: &Value, shared: &Shared) -> Result<String, R
     }
 }
 
+/// Runs one ECO under the writer mutex — journal append, re-analysis,
+/// degrade/rollback — and publishes the writer's snapshot with one
+/// pointer swap (a degraded ECO publishes too: only its counters moved).
+/// Readers never touch the writer mutex, so none of this blocks them.
+fn run_eco(
+    shared: &Shared,
+    moves: &[EcoMove],
+    deadline: Option<Duration>,
+) -> Result<pao_core::EcoReply, ServiceError> {
+    /// Decrements `eco_inflight` however the ECO exits (a panicking
+    /// re-analysis included).
+    struct Inflight<'a>(&'a AtomicU64);
+    impl Drop for Inflight<'_> {
+        fn drop(&mut self) {
+            self.0.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+    shared.counters.eco_inflight.fetch_add(1, Ordering::SeqCst);
+    let _inflight = Inflight(&shared.counters.eco_inflight);
+    let mut writer = lock(&shared.writer);
+    let outcome = writer.eco_update(moves, deadline, shared.eco_watchdog);
+    let next = Arc::clone(writer.snapshot());
+    // The swap returns the superseded snapshot; it is dropped after the
+    // lock is released, so freeing an old placement never blocks readers.
+    let _superseded = std::mem::replace(&mut *lock(&shared.published), next);
+    outcome
+}
+
 /// Handles a `batch` request: params is an array of request objects.
-/// Read-only batches fan out onto the work-stealing executor (responses
-/// come back in input order — the executor preserves it); a batch
-/// containing `eco_update` runs sequentially in order, because an ECO
-/// must observe the queries before it and be observed by those after.
+/// Read-only batches answer every item from one snapshot, fanned out
+/// onto the work-stealing executor (responses come back in input order —
+/// the executor preserves it); a batch containing `eco_update` runs
+/// sequentially in order, each item on the then-current snapshot,
+/// because an ECO must observe the queries before it and be observed by
+/// those after.
 fn handle_batch(id: &str, req: &Value, shared: &Shared) -> String {
     let Some(items) = req.get("params").and_then(Value::as_array) else {
         return err_resp(
@@ -586,22 +618,29 @@ fn handle_batch(id: &str, req: &Value, shared: &Shared) -> String {
     let responses: Vec<String> = if has_eco {
         items
             .iter()
-            .map(|r| dispatch_request(r, shared, false).0)
+            .map(|r| dispatch_request(r, shared, None, false).0)
             .collect()
     } else {
+        let snap = shared.snapshot();
         let refs: Vec<&Value> = items.iter().collect();
         pao_core::parallel::parallel_map(shared.threads, refs, |r| {
-            dispatch_request(r, shared, false).0
+            dispatch_request(r, shared, Some(&snap), false).0
         })
     };
     ok_resp(id, &format!("[{}]", responses.join(",")))
 }
 
 /// Dispatches one parsed request. Returns the response line and whether
-/// the daemon should shut down *after* the response is flushed.
-/// `allow_control` is false inside a batch: nested `batch`/`shutdown`
-/// are rejected there.
-fn dispatch_request(req: &Value, shared: &Shared, allow_control: bool) -> (String, bool) {
+/// the daemon should shut down *after* the response is flushed. Queries
+/// answer from `pinned` when given (a read-only batch), else from the
+/// snapshot current at dispatch. `allow_control` is false inside a
+/// batch: nested `batch`/`shutdown` are rejected there.
+fn dispatch_request(
+    req: &Value,
+    shared: &Shared,
+    pinned: Option<&Arc<ServiceSnapshot>>,
+    allow_control: bool,
+) -> (String, bool) {
     let _span = pao_obs::span("server.request");
     pao_obs::counter_add("server.requests", 1);
     shared.counters.requests.fetch_add(1, Ordering::SeqCst);
@@ -623,7 +662,12 @@ fn dispatch_request(req: &Value, shared: &Shared, allow_control: bool) -> (Strin
             ),
             false,
         ),
-        _ => match method_result(method, req, shared) {
+        _ => match method_result(
+            method,
+            req,
+            shared,
+            &pinned.map_or_else(|| shared.snapshot(), Arc::clone),
+        ) {
             Ok(result) => (ok_resp(&id, &result), false),
             Err((code, message, data)) => {
                 (err_resp_data(&id, code, &message, data.as_deref()), false)
@@ -635,7 +679,7 @@ fn dispatch_request(req: &Value, shared: &Shared, allow_control: bool) -> (Strin
 /// Parses and dispatches one request line.
 fn dispatch_line(line: &str, shared: &Shared) -> (String, bool) {
     match json::parse(line) {
-        Ok(req) => dispatch_request(&req, shared, true),
+        Ok(req) => dispatch_request(&req, shared, None, true),
         Err(e) => (
             err_resp("null", PARSE_ERROR, &format!("parse error: {e}")),
             false,
@@ -934,21 +978,6 @@ fn setup_journal(args: &Args, service: &mut OracleService) -> Result<u64, CliErr
 
 /// `pao serve <tech.lef> <design.def> (--socket PATH | --tcp ADDR) …`
 pub fn cmd_serve(args: &Args) -> Result<(), CliError> {
-    for name in [
-        "--socket",
-        "--tcp",
-        "--threads",
-        "--max-frame-bytes",
-        "--max-conns",
-        "--max-requests",
-        "--idle-ms",
-        "--max-inflight",
-        "--journal",
-    ] {
-        if args.value_missing(name) {
-            return Err(CliError::usage(format!("{name} requires a value")));
-        }
-    }
     // Endpoint usage errors must fire before the (potentially long)
     // load + analysis; `bind` re-checks when it actually binds.
     if usize::from(args.value("--socket").is_some()) + usize::from(args.value("--tcp").is_some())
@@ -1020,7 +1049,8 @@ pub fn cmd_serve(args: &Args) -> Result<(), CliError> {
     counters.journal_replayed.store(replayed, Ordering::SeqCst);
     pao_obs::counter_add("serve.journal_replayed", replayed);
     let shared = Arc::new(Shared {
-        service: RwLock::new(service),
+        published: Mutex::new(Arc::clone(service.snapshot())),
+        writer: Mutex::new(service),
         shutdown: AtomicBool::new(false),
         threads,
         eco_deadline: deadline,
@@ -1161,11 +1191,6 @@ pub(crate) fn connect(args: &Args, timeout: Duration) -> Result<Stream, CliError
 /// server closing mid-exchange — exit 7, distinct from in-band JSON-RPC
 /// errors (which print normally and exit 0: the *transport* worked).
 pub fn cmd_call(args: &Args) -> Result<(), CliError> {
-    for name in ["--socket", "--tcp", "--timeout-ms"] {
-        if args.value_missing(name) {
-            return Err(CliError::usage(format!("{name} requires a value")));
-        }
-    }
     let timeout = parse_timeout(args)?;
     let mut stream = connect(args, timeout)?;
     // Per-response read budget: a daemon that accepts a request but

@@ -387,21 +387,6 @@ fn soak_emit(args: &Args) -> Result<(), CliError> {
 
 /// `pao soak (--socket PATH | --tcp ADDR) --mode hostile|eco|emit …`
 pub fn cmd_soak(args: &Args) -> Result<(), CliError> {
-    for name in [
-        "--mode",
-        "--seed",
-        "--clients",
-        "--duration-ms",
-        "--count",
-        "--inst",
-        "--pin",
-        "--journal",
-        "--timeout-ms",
-    ] {
-        if args.value_missing(name) {
-            return Err(CliError::usage(format!("{name} requires a value")));
-        }
-    }
     match args.value("--mode") {
         Some("hostile") => soak_hostile(args),
         Some("eco") => soak_eco(args),

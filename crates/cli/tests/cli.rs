@@ -231,6 +231,38 @@ fn unknown_flag_is_a_usage_error() {
 }
 
 #[test]
+fn option_of_another_subcommand_is_a_usage_error() {
+    // `--lef`/`--def` are `gen` options. `profile` must reject them
+    // instead of quietly profiling its built-in default case.
+    let out = pao()
+        .args(["profile", "--lef", "x.lef", "--def", "y.def"])
+        .output()
+        .expect("spawn");
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("unknown option `--lef` for `pao profile`"),
+        "{err}"
+    );
+}
+
+#[test]
+fn repeated_option_is_a_usage_error() {
+    // Two `--threads` values must not silently resolve to the first.
+    let bench = concat!(env!("CARGO_MANIFEST_DIR"), "/../../benchmarks");
+    let out = pao()
+        .arg("analyze")
+        .arg(format!("{bench}/smoke.lef"))
+        .arg(format!("{bench}/smoke.def"))
+        .args(["--threads", "1", "--threads", "2"])
+        .output()
+        .expect("spawn");
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("`--threads` given more than once"), "{err}");
+}
+
+#[test]
 fn injected_fault_degrades_and_exit_codes_honor_degraded_ok() {
     let lef = tmp("f.lef");
     let def = tmp("f.def");

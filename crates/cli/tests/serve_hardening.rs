@@ -513,3 +513,113 @@ fn kill_dash_nine_then_resume_replays_journal() {
     drop((s, r));
     shutdown(&resumed_sock, &mut resumed);
 }
+
+/// An instance whose master has a pin named `A` (not every master does —
+/// the flops use D/CK/Q), read from the generated LEF/DEF text.
+fn inst_with_pin_a(lef: &Path, def: &Path) -> String {
+    let lef = std::fs::read_to_string(lef).expect("read lef");
+    let mut masters = Vec::new();
+    let mut cur = None;
+    for line in lef.lines() {
+        let t: Vec<&str> = line.split_whitespace().collect();
+        match t.as_slice() {
+            ["MACRO", name, ..] => cur = Some(name.to_string()),
+            ["PIN", "A", ..] => masters.extend(cur.clone()),
+            _ => {}
+        }
+    }
+    let def = std::fs::read_to_string(def).expect("read def");
+    def.lines()
+        .find_map(|line| {
+            let t: Vec<&str> = line.split_whitespace().collect();
+            match t.as_slice() {
+                ["-", inst, master, ..] if masters.iter().any(|m| m == master) => {
+                    Some(inst.to_string())
+                }
+                _ => None,
+            }
+        })
+        .expect("an instance with pin A")
+}
+
+fn stats_field(line: &str, path: &[&str]) -> i64 {
+    let v = pao_obs::json::parse(line).expect("stats parses");
+    let mut cur = v.get("result").expect("stats result");
+    for key in path {
+        cur = cur
+            .get(key)
+            .unwrap_or_else(|| panic!("stats lacks {path:?}"));
+    }
+    cur.as_i64().expect("numeric stats field")
+}
+
+/// Queries never wait for an ECO. While an injected stall holds the
+/// ECO's re-analysis, `get_pin_access` and `stats` on a second
+/// connection are answered from the pre-ECO snapshot, and both replies
+/// arrive before the ECO's own reply (the degraded `-32004`: the stall
+/// trips the watchdog). Asserted on ordering — the ECO connection has no
+/// reply yet when the queries are answered — not on timing.
+#[test]
+fn queries_are_answered_while_an_eco_stalls() {
+    let (lef, def) = gen_world("stall");
+    let inst = inst_with_pin_a(&lef, &def);
+    let sock = tmp("stall.sock");
+    let mut daemon = spawn_daemon(&lef, &def, &sock, &["--inject-stall", "select:0:1500"]);
+    let pin_req = format!(
+        "{{\"id\":5,\"method\":\"get_pin_access\",\"params\":{{\"inst\":\"{inst}\",\"pin\":\"A\"}}}}\n"
+    );
+    let (mut q, mut qr) = raw_conn(&sock);
+    send(&mut q, pin_req.as_bytes());
+    let pre_eco = recv_line(&mut qr);
+    assert!(has_result(&pre_eco), "{pre_eco}");
+
+    let (mut e, mut er) = raw_conn(&sock);
+    let eco = format!(
+        "{{\"id\":2,\"method\":\"eco_update\",\"params\":{{\"moves\":[{{\"inst\":\"{inst}\",\"dx\":40,\"dy\":0}}]}}}}\n"
+    );
+    send(&mut e, eco.as_bytes());
+    // Wait (by polling `stats`, itself a query) until the daemon has the
+    // ECO in flight.
+    let mut in_flight = false;
+    for _ in 0..400 {
+        send(&mut q, b"{\"id\":3,\"method\":\"stats\"}\n");
+        if stats_field(&recv_line(&mut qr), &["serve", "eco_inflight"]) == 1 {
+            in_flight = true;
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(in_flight, "the ECO never showed as in flight");
+
+    send(&mut q, pin_req.as_bytes());
+    let during = recv_line(&mut qr);
+    send(&mut q, b"{\"id\":4,\"method\":\"stats\"}\n");
+    let stats = recv_line(&mut qr);
+
+    // Both query replies are in; the ECO's reply must not be yet.
+    e.set_nonblocking(true).expect("nonblocking");
+    let mut probe = String::new();
+    match er.read_line(&mut probe) {
+        Err(err) if err.kind() == std::io::ErrorKind::WouldBlock => {}
+        other => panic!("ECO reply arrived before the queries' replies: {other:?} {probe:?}"),
+    }
+    e.set_nonblocking(false).expect("blocking");
+
+    assert_eq!(
+        during, pre_eco,
+        "a query during the ECO must see the pre-ECO snapshot"
+    );
+    assert_eq!(stats_field(&stats, &["eco_updates"]), 0);
+    assert_eq!(stats_field(&stats, &["serve", "eco_inflight"]), 1);
+    assert_eq!(stats_field(&stats, &["serve", "eco_degraded"]), 0);
+
+    let eco_reply = recv_line(&mut er);
+    assert_eq!(error_code(&eco_reply), Some(-32004), "{eco_reply}");
+    send(&mut q, b"{\"id\":6,\"method\":\"stats\"}\n");
+    let after = recv_line(&mut qr);
+    assert_eq!(stats_field(&after, &["serve", "eco_degraded"]), 1);
+    assert_eq!(stats_field(&after, &["serve", "eco_inflight"]), 0);
+    assert_eq!(stats_field(&after, &["eco_updates"]), 0);
+    drop((q, qr, e, er));
+    shutdown(&sock, &mut daemon);
+}

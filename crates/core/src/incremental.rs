@@ -20,12 +20,15 @@ use pao_design::Design;
 use pao_geom::{Dbu, Orient, Point};
 use pao_tech::{Symbol, Tech};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Signature key for cached intra-cell analysis.
 type Signature = (Symbol, Orient, Vec<Dbu>);
 
-/// A cached per-signature analysis entry.
-#[derive(Debug, Clone)]
+/// A cached per-signature analysis entry. The cache holds entries
+/// behind `Arc`, so copying a whole cache (an ECO's rollback copy) bumps
+/// one refcount per entry instead of duplicating every AP and pattern.
+#[derive(Debug)]
 struct CacheEntry {
     /// The representative's placement location when the entry was made
     /// (access point positions are stored in that frame).
@@ -52,7 +55,7 @@ struct CacheEntry {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct AnalysisCache {
-    entries: HashMap<Signature, CacheEntry>,
+    entries: HashMap<Signature, Arc<CacheEntry>>,
     hits: usize,
     misses: usize,
 }
@@ -272,10 +275,10 @@ impl AnalysisCache {
             };
             cache.entries.insert(
                 sig,
-                CacheEntry {
+                Arc::new(CacheEntry {
                     rep_location: rep,
                     data,
-                },
+                }),
             );
         }
         Ok(cache)
@@ -335,7 +338,7 @@ impl PinAccessOracle {
         // fast path share one lookup — there is no later re-lookup that
         // could miss.
         let infos = extract_unique_instances(tech, design);
-        let entries: Option<Vec<CacheEntry>> = infos
+        let entries: Option<Vec<Arc<CacheEntry>>> = infos
             .iter()
             .map(|info| {
                 cache
@@ -355,10 +358,10 @@ impl PinAccessOracle {
                 pao_obs::counter_add("cache.misses", 1);
                 cache.entries.insert(
                     sig,
-                    CacheEntry {
+                    Arc::new(CacheEntry {
                         rep_location: design.component(u.info.rep).location,
                         data: u.clone(),
-                    },
+                    }),
                 );
             }
             return result;
@@ -382,7 +385,7 @@ impl PinAccessOracle {
             cache.hits += 1;
             pao_obs::counter_add("cache.hits", 1);
             let delta = design.component(info.rep).location - entry.rep_location;
-            let mut data = entry.data;
+            let mut data = entry.data.clone();
             data.info = info;
             for aps in &mut data.pin_aps {
                 for ap in aps {

@@ -70,7 +70,7 @@ pub use pattern::{AccessPattern, PatternConfig};
 pub use persist::{CheckpointStore, EcoJournal, JournalEntry};
 pub use service::{
     ClusterSelectionReply, EcoMove, EcoReply, EcoTarget, InstancePatternsReply, OracleService,
-    PinAccessReply, RejectCount, ServiceError,
+    PinAccessReply, RejectCount, ServiceError, ServiceSnapshot,
 };
 pub use stats::PaoStats;
 pub use unique::{UniqueInstance, UniqueInstanceId};

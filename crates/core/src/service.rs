@@ -1,14 +1,33 @@
 //! Resident oracle service: the query surface behind `pao serve`.
 //!
 //! The paper's oracle exists to be *queried* — the detailed router asks
-//! for pin access on demand — so a production deployment keeps one warm
-//! [`OracleService`] resident instead of re-running the pipeline per
-//! invocation. The service owns immutable shared state (`Arc<Tech>`,
-//! `Arc<Design>`, `Arc<PaoResult>`): queries are pure reads over those
-//! snapshots and therefore safe to fan out across any number of threads
-//! with byte-identical answers, while [`eco_update`](OracleService::eco_update)
-//! replaces the design/result snapshots copy-on-write — in-flight readers
-//! keep the `Arc` they already cloned, new queries see the new placement.
+//! for pin access on demand while placement keeps changing — so a
+//! production deployment keeps one warm [`OracleService`] resident
+//! instead of re-running the pipeline per invocation.
+//!
+//! The service is split in two:
+//!
+//! - **[`ServiceSnapshot`]** is immutable: `Arc<Tech>`, `Arc<Design>`,
+//!   `Arc<PaoResult>`, the reject map, and the counters `stats` reports
+//!   (ECO sequence, signature-cache hits/misses, degraded ECOs, journal
+//!   entries, phase fractions) as they stood when it was published. All
+//!   four query bodies — `pin_access`, `instance_patterns`,
+//!   `cluster_selection`, `selection_dump` — live here and only read, so
+//!   any number of threads can answer from one snapshot with
+//!   byte-identical results.
+//! - **The writer state** — the signature [`AnalysisCache`], the ECO
+//!   journal, the config and the shared phase fractions — belongs to
+//!   [`OracleService`] and is touched only by
+//!   [`eco_update`](OracleService::eco_update), [`replay`](OracleService::replay)
+//!   and [`attach_journal`](OracleService::attach_journal).
+//!
+//! An ECO clones the design, moves it, re-analyzes it and *publishes* a
+//! new snapshot; it never mutates one. A reader that cloned the
+//! `Arc<ServiceSnapshot>` before the publish keeps answering for the old
+//! placement, a reader that clones it after sees the new one. `pao serve`
+//! builds on exactly this: its readers clone the published pointer and
+//! answer without waiting, while ECOs serialize on the writer alone
+//! (DESIGN.md §17).
 //!
 //! Re-analysis after a move goes through the [`incremental`](crate::incremental)
 //! dirty-cluster path: intra-cell work (steps 1–2) is keyed by signature
@@ -201,20 +220,37 @@ pub struct EcoReply {
 /// ledger-enabled analysis at service start.
 type RejectMap = HashMap<(u32, usize), Vec<RejectCount>>;
 
-/// A resident, query-answering pin access oracle (see the module docs).
-#[derive(Debug)]
-pub struct OracleService {
+/// One immutable, published state of the service: the placement, its
+/// analysis and the counters `stats` reports, frozen together. Every
+/// query is answered from exactly one snapshot, so a reader holding an
+/// `Arc<ServiceSnapshot>` sees one consistent placement no matter how
+/// many ECOs are published meanwhile. Cloning one costs a few refcount
+/// bumps.
+#[derive(Debug, Clone)]
+pub struct ServiceSnapshot {
     tech: Arc<Tech>,
     design: Arc<Design>,
     result: Arc<PaoResult>,
+    rejects: Arc<RejectMap>,
+    eco_updates: u64,
+    cache_hits: usize,
+    cache_misses: usize,
+    degraded_ecos: u64,
+    journal_entries: u64,
+    fractions: PhaseFractions,
+}
+
+/// A resident, query-answering pin access oracle (see the module docs):
+/// the latest published [`ServiceSnapshot`] plus the writer state that
+/// only ECOs touch.
+#[derive(Debug)]
+pub struct OracleService {
+    snapshot: Arc<ServiceSnapshot>,
     cache: AnalysisCache,
     config: PaoConfig,
     fractions: SharedFractions,
     collect_rejects: bool,
-    rejects: RejectMap,
-    eco_updates: u64,
     journal: Option<EcoJournal>,
-    degraded_ecos: u64,
 }
 
 /// Presentation label for a ledger reject attribution (mirrors
@@ -294,135 +330,57 @@ pub fn selection_dump(design: &Design, result: &PaoResult) -> String {
     out
 }
 
-impl OracleService {
-    /// Loads the service: analyzes `design` once under `budget` (pass a
-    /// checkpoint store inside the budget for the warm-start path) and
-    /// keeps the result resident for queries. With `collect_rejects` the
-    /// load runs with the decision ledger enabled so `get_pin_access`
-    /// can report per-pin reject reasons; the ledger switch is
-    /// process-global, so leave it off when other analyses share the
-    /// process.
-    #[must_use]
-    pub fn start(
-        tech: Tech,
-        design: Design,
-        config: PaoConfig,
-        budget: RunBudget<'_>,
-        collect_rejects: bool,
-    ) -> OracleService {
-        let mut cache = AnalysisCache::new();
-        if collect_rejects {
-            pao_obs::enable_ledger();
-        }
-        let oracle = PinAccessOracle::with_config(config.clone());
-        let result = oracle.analyze_with_cache_budget(&tech, &design, &mut cache, budget);
-        let rejects = if collect_rejects {
-            pao_obs::disable_ledger();
-            build_rejects(&pao_obs::take_ledger())
-        } else {
-            RejectMap::new()
-        };
-        let fractions = SharedFractions::new(PhaseFractions::from_stats(&result.stats));
-        OracleService {
-            tech: Arc::new(tech),
-            design: Arc::new(design),
-            result: Arc::new(result),
-            cache,
-            config,
-            fractions,
-            collect_rejects,
-            rejects,
-            eco_updates: 0,
-            journal: None,
-            degraded_ecos: 0,
-        }
-    }
-
-    /// Attaches a write-ahead [`EcoJournal`]: every subsequently accepted
-    /// `eco_update` batch is durably recorded *before* its re-analysis
-    /// runs, so a killed process can [`replay`](OracleService::replay)
-    /// on restart and land bit-identical to a never-killed twin.
-    pub fn attach_journal(&mut self, journal: EcoJournal) {
-        self.journal = Some(journal);
-    }
-
-    /// The attached journal, if any.
-    #[must_use]
-    pub fn journal(&self) -> Option<&EcoJournal> {
-        self.journal.as_ref()
-    }
-
-    /// Re-applies recovered journal entries in order through the normal
-    /// ECO path — without deadline, watchdog or re-journaling, because
-    /// every entry was already accepted and durably recorded by a prior
-    /// incarnation. Deterministic analysis makes the resulting snapshot
-    /// bit-identical to one that applied the same batches live. Returns
-    /// the number of entries replayed.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError`] when an entry no longer validates (e.g. the
-    /// journal belongs to a different design); replay stops there.
-    pub fn replay(&mut self, entries: &[JournalEntry]) -> Result<u64, ServiceError> {
-        let journal = self.journal.take();
-        let mut applied = 0;
-        let mut first_err = None;
-        for e in entries {
-            match self.eco_update(&e.moves, None, None) {
-                Ok(_) => applied += 1,
-                Err(err) => {
-                    first_err = Some(err);
-                    break;
-                }
-            }
-        }
-        self.journal = journal;
-        match first_err {
-            Some(err) => Err(err),
-            None => Ok(applied),
-        }
-    }
-
-    /// ECO updates that degraded (rejected, snapshot kept) since load.
-    #[must_use]
-    pub fn degraded_ecos(&self) -> u64 {
-        self.degraded_ecos
-    }
-
+impl ServiceSnapshot {
     /// The loaded technology.
     #[must_use]
     pub fn tech(&self) -> &Arc<Tech> {
         &self.tech
     }
 
-    /// The current design snapshot (replaced copy-on-write by ECOs).
+    /// The placement this snapshot answers for.
     #[must_use]
     pub fn design(&self) -> &Arc<Design> {
         &self.design
     }
 
-    /// The current analysis snapshot.
+    /// The analysis of [`design`](ServiceSnapshot::design).
     #[must_use]
     pub fn result(&self) -> &Arc<PaoResult> {
         &self.result
     }
 
-    /// The shared phase-fraction history feeding per-request budgets.
-    #[must_use]
-    pub fn fractions(&self) -> &SharedFractions {
-        &self.fractions
-    }
-
-    /// ECO updates applied since load.
+    /// ECO updates applied before this snapshot was published (its ECO
+    /// sequence number; 0 for the load).
     #[must_use]
     pub fn eco_updates(&self) -> u64 {
         self.eco_updates
     }
 
-    /// `(hits, misses)` of the resident signature cache.
+    /// `(hits, misses)` of the signature cache when this snapshot was
+    /// published.
     #[must_use]
     pub fn cache_stats(&self) -> (usize, usize) {
-        self.cache.stats()
+        (self.cache_hits, self.cache_misses)
+    }
+
+    /// ECO updates that degraded (rejected, previous placement kept)
+    /// before this snapshot was published.
+    #[must_use]
+    pub fn degraded_ecos(&self) -> u64 {
+        self.degraded_ecos
+    }
+
+    /// Committed journal entries when this snapshot was published (0
+    /// without a journal).
+    #[must_use]
+    pub fn journal_entries(&self) -> u64 {
+        self.journal_entries
+    }
+
+    /// The phase-fraction history when this snapshot was published.
+    #[must_use]
+    pub fn fractions(&self) -> PhaseFractions {
+        self.fractions
     }
 
     /// Resolves an instance name to its component id.
@@ -526,19 +484,215 @@ impl OracleService {
         })
     }
 
-    /// The deterministic selection dump of the current snapshot (same
-    /// bytes as `pao analyze --dump-selection` on the same placement).
+    /// The deterministic selection dump of this snapshot (same bytes as
+    /// `pao analyze --dump-selection` on the same placement).
     #[must_use]
     pub fn selection_dump(&self) -> String {
         selection_dump(&self.design, &self.result)
+    }
+}
+
+impl OracleService {
+    /// Loads the service: analyzes `design` once under `budget` (pass a
+    /// checkpoint store inside the budget for the warm-start path) and
+    /// publishes the result as the first snapshot. With `collect_rejects`
+    /// the load runs with the decision ledger enabled so `get_pin_access`
+    /// can report per-pin reject reasons; the ledger switch is
+    /// process-global, so leave it off when other analyses share the
+    /// process.
+    #[must_use]
+    pub fn start(
+        tech: Tech,
+        design: Design,
+        config: PaoConfig,
+        budget: RunBudget<'_>,
+        collect_rejects: bool,
+    ) -> OracleService {
+        let mut cache = AnalysisCache::new();
+        if collect_rejects {
+            pao_obs::enable_ledger();
+        }
+        let oracle = PinAccessOracle::with_config(config.clone());
+        let result = oracle.analyze_with_cache_budget(&tech, &design, &mut cache, budget);
+        let rejects = if collect_rejects {
+            pao_obs::disable_ledger();
+            build_rejects(&pao_obs::take_ledger())
+        } else {
+            RejectMap::new()
+        };
+        let fractions = SharedFractions::new(PhaseFractions::from_stats(&result.stats));
+        let (cache_hits, cache_misses) = cache.stats();
+        OracleService {
+            snapshot: Arc::new(ServiceSnapshot {
+                tech: Arc::new(tech),
+                design: Arc::new(design),
+                result: Arc::new(result),
+                rejects: Arc::new(rejects),
+                eco_updates: 0,
+                cache_hits,
+                cache_misses,
+                degraded_ecos: 0,
+                journal_entries: 0,
+                fractions: fractions.snapshot(),
+            }),
+            cache,
+            config,
+            fractions,
+            collect_rejects,
+            journal: None,
+        }
+    }
+
+    /// The latest published snapshot. A caller that clones the `Arc` can
+    /// keep answering queries from it while later ECOs publish newer
+    /// ones — `pao serve` hands exactly this pointer to its readers.
+    #[must_use]
+    pub fn snapshot(&self) -> &Arc<ServiceSnapshot> {
+        &self.snapshot
+    }
+
+    /// Publishes a new snapshot: `edit` adjusts a copy of the current
+    /// one, whose writer-side counters are then refreshed.
+    fn publish(&mut self, edit: impl FnOnce(&mut ServiceSnapshot)) {
+        let mut next = (*self.snapshot).clone();
+        edit(&mut next);
+        (next.cache_hits, next.cache_misses) = self.cache.stats();
+        next.journal_entries = self.journal.as_ref().map_or(0, EcoJournal::entries);
+        next.fractions = self.fractions.snapshot();
+        self.snapshot = Arc::new(next);
+    }
+
+    /// Attaches a write-ahead [`EcoJournal`]: every subsequently accepted
+    /// `eco_update` batch is durably recorded *before* its re-analysis
+    /// runs, so a killed process can [`replay`](OracleService::replay)
+    /// on restart and land bit-identical to a never-killed twin.
+    pub fn attach_journal(&mut self, journal: EcoJournal) {
+        self.journal = Some(journal);
+        self.publish(|_| {});
+    }
+
+    /// The attached journal, if any.
+    #[must_use]
+    pub fn journal(&self) -> Option<&EcoJournal> {
+        self.journal.as_ref()
+    }
+
+    /// Re-applies recovered journal entries in order through the normal
+    /// ECO path — without deadline, watchdog or re-journaling, because
+    /// every entry was already accepted and durably recorded by a prior
+    /// incarnation. Deterministic analysis makes the resulting snapshot
+    /// bit-identical to one that applied the same batches live. Returns
+    /// the number of entries replayed.
+    ///
+    /// # Errors
+    ///
+    /// [`ServiceError`] when an entry no longer validates (e.g. the
+    /// journal belongs to a different design); replay stops there.
+    pub fn replay(&mut self, entries: &[JournalEntry]) -> Result<u64, ServiceError> {
+        let journal = self.journal.take();
+        let mut applied = 0;
+        let mut first_err = None;
+        for e in entries {
+            match self.eco_update(&e.moves, None, None) {
+                Ok(_) => applied += 1,
+                Err(err) => {
+                    first_err = Some(err);
+                    break;
+                }
+            }
+        }
+        self.journal = journal;
+        self.publish(|_| {});
+        match first_err {
+            Some(err) => Err(err),
+            None => Ok(applied),
+        }
+    }
+
+    /// ECO updates that degraded (rejected, snapshot kept) since load.
+    #[must_use]
+    pub fn degraded_ecos(&self) -> u64 {
+        self.snapshot.degraded_ecos
+    }
+
+    /// The loaded technology.
+    #[must_use]
+    pub fn tech(&self) -> &Arc<Tech> {
+        &self.snapshot.tech
+    }
+
+    /// The current design snapshot (replaced copy-on-write by ECOs).
+    #[must_use]
+    pub fn design(&self) -> &Arc<Design> {
+        &self.snapshot.design
+    }
+
+    /// The current analysis snapshot.
+    #[must_use]
+    pub fn result(&self) -> &Arc<PaoResult> {
+        &self.snapshot.result
+    }
+
+    /// The shared phase-fraction history feeding per-request budgets.
+    #[must_use]
+    pub fn fractions(&self) -> &SharedFractions {
+        &self.fractions
+    }
+
+    /// ECO updates applied since load.
+    #[must_use]
+    pub fn eco_updates(&self) -> u64 {
+        self.snapshot.eco_updates
+    }
+
+    /// `(hits, misses)` of the resident signature cache.
+    #[must_use]
+    pub fn cache_stats(&self) -> (usize, usize) {
+        self.snapshot.cache_stats()
+    }
+
+    /// Answers `get_pin_access` from the current snapshot (see
+    /// [`ServiceSnapshot::pin_access`]).
+    ///
+    /// # Errors
+    ///
+    /// [`ServiceError`] when the instance, master or pin cannot be
+    /// resolved, or the instance was not analyzed.
+    pub fn pin_access(&self, inst: &str, pin: &str) -> Result<PinAccessReply, ServiceError> {
+        self.snapshot.pin_access(inst, pin)
+    }
+
+    /// Answers `get_instance_patterns` from the current snapshot.
+    ///
+    /// # Errors
+    ///
+    /// [`ServiceError`] when the instance cannot be resolved or was not
+    /// analyzed.
+    pub fn instance_patterns(&self, inst: &str) -> Result<InstancePatternsReply, ServiceError> {
+        self.snapshot.instance_patterns(inst)
+    }
+
+    /// Answers `get_cluster_selection` from the current snapshot.
+    ///
+    /// # Errors
+    ///
+    /// [`ServiceError`] when the instance cannot be resolved.
+    pub fn cluster_selection(&self, inst: &str) -> Result<ClusterSelectionReply, ServiceError> {
+        self.snapshot.cluster_selection(inst)
+    }
+
+    /// The deterministic selection dump of the current snapshot.
+    #[must_use]
+    pub fn selection_dump(&self) -> String {
+        self.snapshot.selection_dump()
     }
 
     /// Applies component moves copy-on-write and re-analyzes through the
     /// incremental dirty-cluster path: the design is cloned, moved, and
     /// re-analyzed with the resident signature cache — signature-
-    /// preserving moves skip steps 1–2 entirely — then both snapshots are
-    /// swapped atomically. Queries running concurrently on the old
-    /// `Arc`s finish against the placement they started with.
+    /// preserving moves skip steps 1–2 entirely — then a new snapshot is
+    /// published. Readers holding an older snapshot keep answering for
+    /// the placement they started with; nothing they hold is mutated.
     ///
     /// The re-analysis runs under `deadline` (if any) with a
     /// [`PhaseFractions`] snapshot taken from the shared history at call
@@ -552,7 +706,8 @@ impl OracleService {
     /// durably record the batch (again rejected whole, before analysis).
     /// [`ServiceError::EcoDegraded`] when the re-analysis blows its
     /// deadline, trips the watchdog, or quarantines faulted work — the
-    /// previous snapshot keeps serving, the signature cache is restored
+    /// previous placement keeps serving (the published snapshot differs
+    /// only in its degraded-ECO count), the signature cache is restored
     /// (a degraded full run would otherwise pollute it with partial
     /// entries), and the journaled record is revoked.
     pub fn eco_update(
@@ -562,9 +717,10 @@ impl OracleService {
         watchdog: Option<Watchdog>,
     ) -> Result<EcoReply, ServiceError> {
         // Validate every move before touching anything.
+        let base = Arc::clone(&self.snapshot);
         let mut resolved = Vec::with_capacity(moves.len());
         for m in moves {
-            resolved.push(self.resolve(&m.inst)?);
+            resolved.push(base.resolve(&m.inst)?);
         }
         // Durably record the accepted batch before analysis: a kill at
         // any later instant leaves it replayable on restart.
@@ -575,7 +731,7 @@ impl OracleService {
             ),
             None => None,
         };
-        let mut design = (*self.design).clone();
+        let mut design = (*base.design).clone();
         for (m, comp) in moves.iter().zip(&resolved) {
             let loc = &mut design.component_mut(*comp).location;
             match m.target {
@@ -585,7 +741,8 @@ impl OracleService {
         }
         let (h0, m0) = self.cache.stats();
         // A degraded full re-analysis would insert partial entries into
-        // the resident cache; keep a pre-analysis copy to restore.
+        // the resident cache; keep a pre-analysis copy to restore (entries
+        // are shared `Arc`s, so this copies pointers, not analyses).
         let cache_before = self.cache.clone();
         let budget = RunBudget {
             deadline,
@@ -597,7 +754,7 @@ impl OracleService {
             pao_obs::enable_ledger();
         }
         let result = PinAccessOracle::with_config(self.config.clone()).analyze_with_cache_budget(
-            &self.tech,
+            &base.tech,
             &design,
             &mut self.cache,
             budget,
@@ -612,43 +769,47 @@ impl OracleService {
         };
         let degraded = result.stats.deadline.is_partial() || !result.stats.quarantined.is_empty();
         if degraded {
-            // Graceful degradation: the old snapshot keeps serving.
+            // Graceful degradation: the old placement keeps serving.
             self.cache = cache_before;
-            self.degraded_ecos += 1;
-            if let (Some(j), Some(seq)) = (self.journal.as_mut(), journal_seq) {
-                j.revoke(seq)
-                    .map_err(|e| ServiceError::Journal(e.to_string()))?;
-            }
+            let revoked = match (self.journal.as_mut(), journal_seq) {
+                (Some(j), Some(seq)) => j.revoke(seq),
+                _ => Ok(()),
+            };
+            self.publish(|s| s.degraded_ecos += 1);
+            revoked.map_err(|e| ServiceError::Journal(e.to_string()))?;
             return Err(ServiceError::EcoDegraded {
                 quarantined: result.stats.quarantined.len(),
                 skipped: result.stats.deadline.skipped_items(),
                 stalls: result.stats.deadline.stalls.len(),
             });
         }
-        if let Some(dump) = dump {
-            if full_reanalysis {
-                // Apgen re-ran: the drained records re-attribute every pin.
-                self.rejects = build_rejects(&dump);
-            }
-            // Fast path: apgen was skipped, so the drain is empty — the
-            // existing map stays valid (signatures, hence unique indices,
-            // are unchanged).
-        }
+        // Fast path: apgen was skipped, so the ledger drain is empty and
+        // the existing map stays valid (signatures, hence unique indices,
+        // are unchanged). A full re-analysis re-attributes every pin.
+        let rejects = match dump {
+            Some(dump) if full_reanalysis => Some(Arc::new(build_rejects(&dump))),
+            _ => None,
+        };
         if full_reanalysis {
             self.fractions
                 .publish(PhaseFractions::from_stats(&result.stats));
         }
-        self.eco_updates += 1;
         let reply = EcoReply {
             moved: moves.len(),
             cache_hits: h1 - h0,
             cache_misses: m1 - m0,
             full_reanalysis,
             failed_pins: result.stats.failed_pins,
-            eco_seq: self.eco_updates,
+            eco_seq: base.eco_updates + 1,
         };
-        self.design = Arc::new(design);
-        self.result = Arc::new(result);
+        self.publish(|s| {
+            s.design = Arc::new(design);
+            s.result = Arc::new(result);
+            if let Some(rejects) = rejects {
+                s.rejects = rejects;
+            }
+            s.eco_updates = reply.eco_seq;
+        });
         Ok(reply)
     }
 }

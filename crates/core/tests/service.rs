@@ -1,7 +1,8 @@
 //! Service-layer determinism: concurrent queries against a resident
-//! [`OracleService`] must be byte-identical to serial ones, and an
+//! [`OracleService`] must be byte-identical to serial ones, an
 //! `eco_update` + re-query must match a cold full re-analysis of the
-//! moved design bit-for-bit.
+//! moved design bit-for-bit, and a [`ServiceSnapshot`] taken before an
+//! ECO must keep answering for the old placement after it.
 //!
 //! Reject collection stays off here — the decision ledger is
 //! process-global and these tests run concurrently with others in this
@@ -11,9 +12,11 @@
 use pao_core::service::selection_dump;
 use pao_core::{
     EcoMove, EcoTarget, OracleService, PaoConfig, PinAccessOracle, RunBudget, ServiceError,
+    ServiceSnapshot,
 };
 use pao_design::CompId;
 use pao_testgen::{generate, SuiteCase};
+use std::sync::Arc;
 
 fn start_service() -> OracleService {
     let (tech, design) = generate(&SuiteCase::small_smoke());
@@ -29,7 +32,7 @@ fn start_service() -> OracleService {
 /// Every query the determinism tests replay: one of each kind per
 /// component, rendered to its debug string (typed replies are `Eq`, but
 /// the byte-identity claim is easiest stated over the rendering).
-fn query_all(svc: &OracleService) -> Vec<String> {
+fn query_all(svc: &ServiceSnapshot) -> Vec<String> {
     let design = svc.design().clone();
     let tech = svc.tech().clone();
     let mut out = Vec::new();
@@ -51,10 +54,11 @@ fn query_all(svc: &OracleService) -> Vec<String> {
 #[test]
 fn concurrent_queries_match_serial_byte_for_byte() {
     let svc = start_service();
-    let serial = query_all(&svc);
+    let snap = svc.snapshot();
+    let serial = query_all(snap);
     assert!(serial.len() > 3, "smoke design should yield many queries");
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..4).map(|_| scope.spawn(|| query_all(&svc))).collect();
+        let handles: Vec<_> = (0..4).map(|_| scope.spawn(|| query_all(snap))).collect();
         for h in handles {
             let threaded = h.join().unwrap();
             assert_eq!(serial, threaded, "concurrent replies diverged");
@@ -165,6 +169,58 @@ fn eco_update_matches_cold_full_reanalysis() {
     }
 }
 
+/// A snapshot cloned before an ECO is never touched by it: readers
+/// holding it — including one querying *while* the ECO re-analyzes —
+/// keep getting the old placement's answers, while a snapshot taken
+/// after the ECO matches a cold analysis of the moved design.
+#[test]
+fn snapshot_before_eco_keeps_old_placement() {
+    let mut svc = start_service();
+    let old: Arc<ServiceSnapshot> = Arc::clone(svc.snapshot());
+    let before = query_all(&old);
+    let moved_inst = old.design().components()[0].name.to_string();
+    let old_location = old.design().components()[0].location;
+    let moves = [EcoMove {
+        inst: moved_inst,
+        target: EcoTarget::Delta(pao_geom::Point { x: 40, y: 0 }),
+    }];
+
+    let reply = std::thread::scope(|scope| {
+        let reader = scope.spawn(|| {
+            // Answers during the ECO come from the old snapshot.
+            for _ in 0..4 {
+                assert_eq!(query_all(&old), before, "old snapshot changed mid-ECO");
+            }
+        });
+        let reply = svc.eco_update(&moves, None, None).expect("eco applies");
+        reader.join().expect("reader thread");
+        reply
+    });
+    assert_eq!(reply.eco_seq, 1);
+
+    // The old snapshot still answers for the old placement …
+    assert_eq!(
+        query_all(&old),
+        before,
+        "old snapshot changed after the ECO"
+    );
+    assert_eq!(old.design().components()[0].location, old_location);
+    assert_eq!(old.eco_updates(), 0);
+    // … and the fresh one for the moved placement, like a cold analyze.
+    let fresh = Arc::clone(svc.snapshot());
+    assert!(!Arc::ptr_eq(&fresh, &old));
+    assert_eq!(fresh.eco_updates(), 1);
+    let (tech, mut moved) = generate(&SuiteCase::small_smoke());
+    moved.component_mut(CompId(0)).location += pao_geom::Point { x: 40, y: 0 };
+    let cold = PinAccessOracle::new().analyze(&tech, &moved);
+    assert_eq!(fresh.selection_dump(), selection_dump(&moved, &cold));
+    assert_ne!(
+        query_all(&fresh),
+        before,
+        "the moved cell's die-frame access points must differ"
+    );
+}
+
 /// An ECO naming a missing instance is rejected whole: nothing moves,
 /// the sequence number does not advance.
 #[test]
@@ -202,6 +258,7 @@ fn degraded_eco_keeps_previous_snapshot_and_cache() {
     let mut svc = start_service();
     let before = svc.selection_dump();
     let cache_before = svc.cache_stats();
+    let old = Arc::clone(svc.snapshot());
     let known = svc.design().components()[0].name.to_string();
     let moves = [EcoMove {
         inst: known.clone(),
@@ -226,6 +283,13 @@ fn degraded_eco_keeps_previous_snapshot_and_cache() {
     }
     assert_eq!(svc.eco_updates(), 0, "degraded ECO must not count");
     assert_eq!(svc.degraded_ecos(), 1);
+    // The published snapshot differs only in its counters: same placement
+    // and analysis, shared rather than copied.
+    let now = svc.snapshot();
+    assert!(Arc::ptr_eq(now.design(), old.design()));
+    assert!(Arc::ptr_eq(now.result(), old.result()));
+    assert_eq!((old.degraded_ecos(), now.degraded_ecos()), (0, 1));
+    assert_eq!(now.cache_stats(), cache_before);
     assert_eq!(
         svc.selection_dump(),
         before,

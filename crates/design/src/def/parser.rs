@@ -277,7 +277,7 @@ impl<'t, R: BufRead> DefParser<'t, R> {
                     self.bump();
                     let what = self.next_string().unwrap_or_default();
                     if what == "DESIGN" {
-                        break;
+                        return Ok(self.design);
                     }
                     // END of a skipped section — continue.
                 }
@@ -287,7 +287,12 @@ impl<'t, R: BufRead> DefParser<'t, R> {
                 }
             }
         }
-        Ok(self.design)
+        // A file cut short (a partial write, a truncated copy) must not
+        // pass for a smaller design.
+        Err(ParseDefError::new(
+            "unexpected end of input: missing `END DESIGN`",
+            0,
+        ))
     }
 
     fn parse_row(&mut self) -> Result<()> {
@@ -739,6 +744,21 @@ DESIGN x ;\nGCELLGRID X 0 DO 10 STEP 3000 ;\nVIAS 0 ;\nEND VIAS\nEND DESIGN";
         let cut = SAMPLE.split("END COMPONENTS").next().unwrap();
         let err = parse_def(cut, &t).unwrap_err();
         assert!(err.message.contains("unexpected end of input"));
+    }
+
+    #[test]
+    fn truncated_design_is_an_error() {
+        // Cut after a complete COMPONENTS section: no PINS, no NETS, no
+        // `END DESIGN` — a partial file, not a smaller design.
+        let t = tech();
+        let end = SAMPLE.find("END COMPONENTS").unwrap() + "END COMPONENTS\n".len();
+        let err = parse_def(&SAMPLE[..end], &t).unwrap_err();
+        assert!(err.message.contains("missing `END DESIGN`"), "{err}");
+        assert_eq!(err.line, 0, "end-of-input errors report line 0");
+        let body = &SAMPLE[..SAMPLE.rfind("END DESIGN").unwrap()];
+        assert!(parse_def(body, &t).is_err());
+        assert!(parse_def(&format!("{body}END\n"), &t).is_err());
+        assert!(parse_def(&format!("{body}END DESIGN\n"), &t).is_ok());
     }
 
     #[test]

@@ -77,6 +77,11 @@ impl LefParser {
     }
 
     fn parse(mut self) -> Result<Tech> {
+        // An input without a single statement is an empty library; any
+        // other must close with `END LIBRARY`.
+        if self.cur.peek().is_none() {
+            return Ok(self.tech);
+        }
         while let Some(t) = self.cur.peek() {
             let kw = t.text.clone();
             match kw.as_str() {
@@ -93,12 +98,12 @@ impl LefParser {
                 "MACRO" => self.parse_macro()?,
                 "END" => {
                     self.cur.next();
-                    // `END LIBRARY` (or a bare trailing END) terminates the
-                    // file; `END <something>` closes a skipped block (e.g.
-                    // PROPERTYDEFINITIONS) — consume its name and continue.
+                    // `END LIBRARY` terminates the file; `END <something>`
+                    // closes a skipped block (e.g. PROPERTYDEFINITIONS) —
+                    // consume its name and continue.
                     match self.cur.next() {
                         None => break,
-                        Some(t) if t.text == "LIBRARY" => break,
+                        Some(t) if t.text == "LIBRARY" => return Ok(self.tech),
                         Some(_) => {}
                     }
                 }
@@ -109,7 +114,12 @@ impl LefParser {
                 }
             }
         }
-        Ok(self.tech)
+        // A library cut short (say, after its last complete MACRO) must
+        // not pass for a smaller one.
+        Err(ParseLefError::new(
+            "unexpected end of input: missing `END LIBRARY`",
+            0,
+        ))
     }
 
     fn parse_units(&mut self) -> Result<()> {
@@ -693,7 +703,7 @@ END LIBRARY
     #[test]
     fn error_on_unknown_layer_in_via() {
         let src =
-            "UNITS DATABASE MICRONS 1000 ; END UNITS\nVIA v LAYER BOGUS ; RECT 0 0 1 1 ; END v";
+            "UNITS DATABASE MICRONS 1000 ; END UNITS\nVIA v LAYER BOGUS ; RECT 0 0 1 1 ; END v\nEND LIBRARY";
         let err = parse_lef(src).unwrap_err();
         assert!(err.message.contains("unknown layer"));
         assert!(err.line > 0);
@@ -701,14 +711,14 @@ END LIBRARY
 
     #[test]
     fn error_on_end_name_mismatch() {
-        let src = "LAYER M1 TYPE ROUTING ; END M2";
+        let src = "LAYER M1 TYPE ROUTING ; END M2\nEND LIBRARY";
         let err = parse_lef(src).unwrap_err();
         assert!(err.message.contains("mismatch"));
     }
 
     #[test]
     fn error_on_bad_number() {
-        let src = "UNITS DATABASE MICRONS banana ; END UNITS";
+        let src = "UNITS DATABASE MICRONS banana ; END UNITS\nEND LIBRARY";
         let err = parse_lef(src).unwrap_err();
         assert!(err.message.contains("expected a number"));
     }
@@ -722,5 +732,22 @@ LAYER M1 TYPE ROUTING ; FANCYNEWRULE 1 2 3 ; WIDTH 0.1 ; END M1\n\
 END LIBRARY";
         let t = parse_lef(src).unwrap();
         assert_eq!(t.layers().len(), 1);
+    }
+
+    #[test]
+    fn truncated_library_is_an_error() {
+        // Cut before the last MACRO: every remaining statement is
+        // complete, but the library never ends.
+        let cut = &SAMPLE[..SAMPLE.rfind("MACRO").unwrap()];
+        let err = parse_lef(cut).unwrap_err();
+        assert!(err.message.contains("missing `END LIBRARY`"), "{err}");
+        assert_eq!(err.line, 0, "end-of-input errors report line 0");
+        // Cut just before the end marker, or with only a bare END left.
+        let body = &SAMPLE[..SAMPLE.rfind("END LIBRARY").unwrap()];
+        assert!(parse_lef(body).is_err());
+        assert!(parse_lef(&format!("{body}END\n")).is_err());
+        assert!(parse_lef(&format!("{body}END LIBRARY\n")).is_ok());
+        // No statements at all is an empty library, not a truncated one.
+        assert!(parse_lef("").is_ok());
     }
 }

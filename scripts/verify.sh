@@ -149,7 +149,8 @@ echo "== serve smoke gate =="
 # the same bytes as one-shot `pao analyze` — before and after an ECO —
 # at 1 and 4 threads, and shut down cleanly (exit 0). The scripted
 # batch covers every method: dump, pin access, a fanned-out batch, one
-# signature-preserving ECO, stats, shutdown.
+# signature-preserving ECO, stats, shutdown. A second daemon per thread
+# count checks that a query is answered while an ECO is stalled.
 servedir="$(mktemp -d /tmp/pao_serve_XXXXXX)"
 trap 'rm -f "$trace"; rm -rf "$ckpt" "$rep" "$sweepdir" "$servedir"' EXIT
 if ! command -v python3 > /dev/null; then
@@ -205,6 +206,48 @@ assert eco['eco_seq'] == 1 and eco['cache_misses'] == 0, f'ECO off fast path: {e
 assert resp[4]['result']['dump'] == ref, 'dump after no-op ECO diverged'
 assert resp[5]['result']['symbol']['interned'] > 0, 'symbol gauges missing'
 assert resp[6]['result']['ok'] is True, 'shutdown not acknowledged'
+PY
+    # Queries never wait for an ECO: with the first ECO's select phase
+    # stalled (the watchdog then degrades it to -32004), a query sent on
+    # another connection once the ECO is in flight must be answered —
+    # from the pre-ECO snapshot — before the ECO's own reply arrives.
+    sock="$servedir/stall-$t.sock"
+    target/release/pao serve benchmarks/smoke.lef benchmarks/smoke.def \
+        --socket "$sock" --threads "$t" --inject-stall select:0:1500 \
+        > "$servedir/stall-daemon-$t.log" 2>&1 &
+    daemon=$!
+    query="{\"id\":1,\"method\":\"get_pin_access\",\"params\":{\"inst\":\"$inst\",\"pin\":\"A\"}}"
+    target/release/pao call --socket "$sock" "$query" > "$servedir/pre-$t.jsonl" \
+        || { echo "stalled-ECO daemon (threads $t) never answered"; exit 1; }
+    order="$servedir/order-$t.jsonl"
+    : > "$order"
+    target/release/pao call --socket "$sock" \
+        "{\"id\":2,\"method\":\"eco_update\",\"params\":{\"moves\":[{\"inst\":\"$inst\",\"dx\":40,\"dy\":0}]}}" \
+        >> "$order" &
+    eco=$!
+    in_flight=0
+    for _ in $(seq 300); do
+        if target/release/pao call --socket "$sock" '{"id":3,"method":"stats"}' \
+            | grep -q '"eco_inflight":1'; then
+            in_flight=1
+            break
+        fi
+        sleep 0.01
+    done
+    [[ "$in_flight" == 1 ]] || { echo "ECO never in flight (threads $t)"; exit 1; }
+    target/release/pao call --socket "$sock" "$query" >> "$order"
+    wait "$eco" || { echo "stalled ECO call failed (threads $t)"; exit 1; }
+    target/release/pao call --socket "$sock" '{"id":9,"method":"shutdown"}' > /dev/null
+    wait "$daemon" \
+        || { echo "stalled-ECO daemon (threads $t) exited non-zero"; cat "$servedir/stall-daemon-$t.log"; exit 1; }
+    python3 - "$order" "$servedir/pre-$t.jsonl" << 'PY'
+import json, sys
+lines = open(sys.argv[1]).read().splitlines()
+assert len(lines) == 2, f'expected 2 replies, got {lines}'
+first, second = (json.loads(l) for l in lines)
+assert first.get('id') == 1, f'query must answer before the stalled ECO: {lines}'
+assert lines[0] == open(sys.argv[2]).read().strip(), 'query during the ECO must see the pre-ECO snapshot'
+assert second['error']['code'] == -32004, f'stalled ECO must degrade: {second}'
 PY
 done
 # Byte-identity across thread counts: the one-shot dumps and every
